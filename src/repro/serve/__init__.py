@@ -15,8 +15,10 @@ multi-tenant service:
   ``/metrics`` and ``/cache/stats`` endpoints, graceful SIGTERM drain.
 * :mod:`repro.serve.client` — the thin streaming client
   (``python -m repro submit``).
-* :mod:`repro.serve.smoke` — the CI end-to-end smoke
-  (``python -m repro.serve.smoke``).
+* :mod:`repro.serve.smoke` — the one end-to-end smoke
+  (``python -m repro.serve.smoke``): a scenario table of coalescing,
+  crash-resume at three publish points and shard failover, run
+  against real server subprocesses.
 """
 
 from repro.serve.scheduler import (  # noqa: F401

@@ -177,8 +177,13 @@ class TaskScheduler:
         return self.execute_distinct(tasks)
 
     def execute_distinct(self, tasks: List["SweepTask"]) -> List["TaskResult"]:
-        """Pooled or serial execution of distinct tasks, input order."""
-        if self.settings.jobs > 1 and len(tasks) > 1:
+        """Pooled or serial execution of distinct tasks, input order.
+
+        A lone task runs in-thread (no pool start-up) unless a task
+        timeout is set: only a pooled worker can be preempted.
+        """
+        settings = self.settings
+        if settings.jobs > 1 and (len(tasks) > 1 or settings.task_timeout_s is not None):
             return self._run_pooled(tasks)
         return [self._execute_with_retry(task) for task in tasks]
 

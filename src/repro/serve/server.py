@@ -59,7 +59,7 @@ shard's incomplete journals through the ordinary recovery path with
 ``base_seq`` continuation: a client that resumes after the takeover
 stitches the stream gaplessly.  ``GET /cluster`` reports membership;
 ``cluster.*`` counters land in ``/metrics``; a drain appends an
-admission/queue-wait summary to ``BENCH_history.jsonl``.
+admission/queue-wait summary to ``<cache>/serve_history.jsonl``.
 """
 
 from __future__ import annotations
@@ -275,6 +275,10 @@ class Job:
         #: this server's shard index, threaded into chaos sites so
         #: shard-scoped kill rules target exactly one process.
         self.chaos_shard: Optional[int] = None
+        #: ``result`` events a recovered job's journal already holds.
+        #: Results publish in task order, so these are the re-run's
+        #: first results; it skips them (the replay carries them).
+        self.replayed_results = 0
         self._seq_lock = threading.Lock()
         self._update = asyncio.Event()
 
@@ -561,6 +565,9 @@ class SweepServer:
             for rec in records
             if rec.get("type") == "event" and isinstance(rec.get("event"), dict)
         ]
+        job.replayed_results = sum(
+            1 for e in job.events if e.get("event") == "result"
+        )
         self.jobs_by_key[key] = job
         self.jobs_by_id[job_id] = job
         recovered_event: Dict[str, object] = {
@@ -833,11 +840,22 @@ class SweepServer:
         )
 
     def _execute_request(self, request: protocol.SubmitRequest, job: Job) -> bool:
+        replayed = job.replayed_results
+
+        def publish_result(event: Dict[str, object]) -> None:
+            # A crash after journaling a result leaves it in the replay
+            # (emitted or not); the re-run must not publish it again.
+            nonlocal replayed
+            if replayed:
+                replayed -= 1
+            else:
+                job.publish(event)
+
         if request.kind in ("app", "tasks"):
             tasks = protocol.build_tasks(request)
             outcome = harness.run_sweep(tasks)
             for task, result in zip(tasks, outcome):
-                job.publish(
+                publish_result(
                     {
                         "event": "result",
                         "task": f"{task.app_name}@{task.n_pages:g}",
@@ -867,7 +885,7 @@ class SweepServer:
             if request.spec.get("quick") and name in report_mod.QUICK_OVERRIDES:
                 runner = report_mod.QUICK_OVERRIDES[name]
             result = runner()
-            job.publish(
+            publish_result(
                 {
                     "event": "result",
                     "experiment": name,
@@ -895,7 +913,7 @@ class SweepServer:
             out_dir=out_dir,
             log=lambda msg: job.publish({"event": "log", "line": str(msg)}),
         )
-        job.publish(
+        publish_result(
             {
                 "event": "result",
                 "findings": len(report.findings),
@@ -1464,13 +1482,12 @@ class SweepServer:
 # Entry point
 
 
-#: Environment override for where drain-time admission summaries land
-#: (smokes and tests point it at a scratch file).
+#: Environment override for where drain-time admission summaries land.
 HISTORY_ENV = "REPRO_HISTORY_PATH"
 
 
 def serve_history_record(server: SweepServer) -> Dict[str, object]:
-    """One append-only admission/queue-wait summary for BENCH_history.
+    """One append-only admission/queue-wait summary for the serve history.
 
     The ROADMAP's statistical perf gates consume these as a series:
     each drained serve run contributes its admission counters and the
@@ -1520,11 +1537,15 @@ def serve_history_record(server: SweepServer) -> Dict[str, object]:
 
 
 def append_serve_history(server: SweepServer) -> Optional[Path]:
-    """Append the drain summary to BENCH_history.jsonl (best-effort)."""
+    """Append the drain summary (best-effort) to ``$REPRO_HISTORY_PATH``,
+    else ``<cache>/serve_history.jsonl``: never into the source checkout,
+    since the server may run from an installed package."""
     from repro.experiments import simbench
 
-    path = Path(os.environ.get(HISTORY_ENV) or simbench.HISTORY_PATH)
+    cache_dir = server.config.job_settings().resolve_cache_dir()
+    path = Path(os.environ.get(HISTORY_ENV) or cache_dir / "serve_history.jsonl")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         simbench.append_history(serve_history_record(server), path)
     except OSError:
         return None

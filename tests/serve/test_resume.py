@@ -2,8 +2,8 @@
 
 Runs the real in-process server (``serve_factory``) against the real
 client, exercising the PR 9 crash-recovery invariant at every layer
-short of an actual SIGKILL (which ``repro.serve.resilience_smoke``
-covers in a subprocess):
+short of an actual SIGKILL (which the ``crash-resume`` rows of
+``python -m repro.serve.smoke`` cover in subprocesses):
 
 * a client that disconnects mid-stream resumes with ``after_seq`` and
   sees every remaining event exactly once, in order;
@@ -30,6 +30,11 @@ from repro.serve.journal import JournalStore, job_summary
 from tests.serve.test_server import gated_execute  # noqa: F401 (fixture)
 
 APP_REQUEST = {"kind": "app", "app": "array-insert", "pages": 2.0, "tenant": "t"}
+#: Two tasks whose result events share ``task``/``mode``: only the seed differs.
+TWO_SEED_REQUEST = {
+    "kind": "tasks", "tenant": "t",
+    "tasks": [{"app": "array-insert", "pages": 2.0, "seed": s} for s in (1, 2)],
+}
 
 
 def _journal_store() -> JournalStore:
@@ -148,8 +153,8 @@ class TestResume:
 
 
 class TestRecovery:
-    def _plant_incomplete_journal(self):
-        request = protocol.parse_submit(dict(APP_REQUEST))
+    def _plant_incomplete_journal(self, doc=APP_REQUEST, results=0):
+        request = protocol.parse_submit(dict(doc))
         key = request.coalesce_key()
         job_id = f"{key[:16]}-deadbeef"
         store = _journal_store()
@@ -157,10 +162,16 @@ class TestRecovery:
         jnl.append({"type": "request", "job": job_id, "key": key,
                     "kind": request.kind, "tenant": request.tenant,
                     "spec": request.spec, "created_at": 0.0})
-        jnl.append({"type": "event", "seq": 1,
-                    "event": {"event": "queued", "job": job_id, "seq": 1}})
-        jnl.append({"type": "event", "seq": 2,
-                    "event": {"event": "started", "job": job_id, "seq": 2}})
+        events = [{"event": "queued"}, {"event": "started"}]
+        # Killed after journaling the first ``results`` results.
+        events += [
+            {"event": "result", "task": f"{t.app_name}@{t.n_pages:g}",
+             "mode": t.mode, "values": {}, "cached": False, "error": None}
+            for t in protocol.build_tasks(request)[:results]
+        ]
+        for seq, event in enumerate(events, start=1):
+            jnl.append({"type": "event", "seq": seq,
+                        "event": dict(event, job=job_id, seq=seq)})
         jnl.close()
         return job_id, store
 
@@ -191,6 +202,33 @@ class TestRecovery:
         assert seqs == list(range(1, len(seqs) + 1)), "replay + re-run are gapless"
         assert events[-1]["event"] == "done" and events[-1]["ok"] is True
         assert server.metrics()["serve.recovered_jobs"] == 1
+
+    @pytest.mark.parametrize("doc", [APP_REQUEST, TWO_SEED_REQUEST], ids=["app", "tasks"])
+    def test_journaled_result_is_not_published_twice(self, serve_factory, doc):
+        job_id, store = self._plant_incomplete_journal(doc, results=1)
+        server = serve_factory()
+        assert server.server.recovered_jobs == 1
+        _wait_until(
+            lambda: job_summary(store.read(job_id))["done"],
+            message="recovered job to finish",
+        )
+        events = list(
+            client.stream_submit(
+                server.base_url,
+                {"kind": "resume", "job": job_id, "after_seq": 0},
+                timeout=120,
+            )
+        )
+        results = [
+            (e["task"], e["mode"]) for e in events if e["event"] == "result"
+        ]
+        tasks = protocol.build_tasks(protocol.parse_submit(dict(doc)))
+        assert results == [
+            (f"{t.app_name}@{t.n_pages:g}", t.mode) for t in tasks
+        ], "exactly one result per task across replay and re-run"
+        seqs = [e["seq"] for e in events if "seq" in e]
+        assert seqs == list(range(1, len(seqs) + 1))
+        assert events[-1]["event"] == "done" and events[-1]["ok"] is True
 
     def test_torn_tail_recovers_without_error(self, serve_factory):
         job_id, store = self._plant_incomplete_journal()

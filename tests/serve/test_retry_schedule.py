@@ -208,6 +208,52 @@ class TestPooledTimeoutSchedule:
             ("shutdown", True),
         ]
 
+    def test_single_task_is_pooled_so_it_can_be_preempted(
+        self, pool_factory, pool_log
+    ):
+        """With jobs > 1 and a timeout, even a one-task sweep (a serve
+        ``app`` request, a report with one uncached point) runs pooled,
+        so a hang is cut off at task_timeout_s and retried."""
+        t1 = _task(2.0)
+        clock = FakeClock(
+            script={t1.key(): [FutureTimeoutError(), ({"v": 1.0}, 0.1)]}
+        )
+        settings = harness.HarnessSettings(
+            jobs=2,
+            use_cache=False,
+            retries=1,
+            retry_backoff_s=0.25,
+            task_timeout_s=5.0,
+        )
+        results = TaskScheduler(
+            settings, clock=clock, pool_factory=pool_factory
+        ).execute_distinct([t1])
+        assert clock.waits == [5.0, 5.0]
+        assert clock.sleeps == [0.25]
+        assert results[0].ok and results[0].attempts == 2
+        assert pool_log == [
+            ("pool", 1),
+            "terminate",
+            ("shutdown", False),
+            ("pool", 1),
+            ("shutdown", True),
+        ]
+
+    def test_single_task_without_timeout_runs_in_thread(
+        self, monkeypatch, pool_factory, pool_log
+    ):
+        """No timeout to enforce: a lone task skips the pool start-up."""
+        def executes(task, trace_summary=False):
+            return harness.TaskResult(task=task, values={"v": 1.0}, wall_s=0.0)
+
+        monkeypatch.setattr(harness, "_timed_execute", executes)
+        settings = harness.HarnessSettings(jobs=2, use_cache=False)
+        results = TaskScheduler(
+            settings, clock=FakeClock(), pool_factory=pool_factory
+        ).execute_distinct([_task(2.0)])
+        assert results[0].ok
+        assert pool_log == []
+
     def test_timeouts_exhaust_retries(self, pool_factory):
         t1, t2 = _task(2.0), _task(4.0)
         clock = FakeClock(

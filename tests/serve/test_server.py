@@ -8,6 +8,7 @@ coalesce, queue and get rejected.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -15,7 +16,13 @@ import pytest
 
 from repro.experiments import harness
 from repro.serve import client
-from repro.serve.server import FairQueue
+from repro.serve.server import (
+    HISTORY_ENV,
+    FairQueue,
+    ServeConfig,
+    SweepServer,
+    append_serve_history,
+)
 
 
 def _submit_events(server, request, out, key, sse=False):
@@ -350,3 +357,28 @@ class TestFairQueue:
     def test_nonpositive_weight_falls_back_to_default(self):
         queue = FairQueue(weights={"a": 0.0})
         assert queue.weight("a") == 1.0
+
+
+class TestServeHistory:
+    def _append(self, cache_dir):
+        server = SweepServer(ServeConfig(cache_dir=str(cache_dir)))
+        try:
+            return append_serve_history(server)
+        finally:
+            server.executor.shutdown()
+
+    def test_default_lands_under_the_cache_dir(self, tmp_path, monkeypatch):
+        """A drain never writes into the source checkout by default."""
+        monkeypatch.delenv(HISTORY_ENV, raising=False)
+        cache_dir = tmp_path / "cache"
+        path = self._append(cache_dir)
+        assert path == cache_dir / "serve_history.jsonl"
+        (record,) = [json.loads(line) for line in path.read_text().splitlines()]
+        assert record["kind"] == "serve" and "admission" in record
+
+    def test_env_override_wins(self, tmp_path, monkeypatch):
+        target = tmp_path / "elsewhere" / "history.jsonl"
+        monkeypatch.setenv(HISTORY_ENV, str(target))
+        assert self._append(tmp_path / "cache") == target
+        assert target.exists()
+        assert not (tmp_path / "cache" / "serve_history.jsonl").exists()
