@@ -91,12 +91,13 @@ class TestHotpathRegressionGate:
 
 
 class TestBatchedExecutionGate:
-    """The fused op-stream executor must keep beating the scalar oracle.
+    """The fused op-stream executor must keep beating the per-op
+    reference.
 
-    Gated on the paired ``batch_speedup_ratio`` (scalar
-    ``batching_enabled=False`` time over batched time, identical op
-    stream, same process): host noise cancels, so a fall below the
-    baseline band means the executor itself regressed.
+    Gated on the paired ``batch_speedup_ratio`` (per-op reference time
+    over production time, identical op stream, same process): host
+    noise cancels, so a fall below the baseline band means the
+    executor itself regressed.
     """
 
     @pytest.mark.parametrize("name", sorted(simbench.BATCH_WORKLOADS))
@@ -118,7 +119,7 @@ class TestBatchedExecutionGate:
         assert not failures, failures
 
     def test_batched_executor_beats_scalar(self):
-        """Sanity floor: batching must win on the fused workloads."""
+        """Sanity floor: fusing must win on the fused workloads."""
         row = simbench.run_batch_workload("processor_step_100k")
         assert row["batch_speedup_ratio"] >= 1.1, row
 

@@ -11,51 +11,12 @@ ceiling lifts.
 Run:  python examples/smp_database.py
 """
 
-import numpy as np
-
-from repro.core.functions import PageTask
-from repro.radram.config import RADramConfig
-from repro.radram.system import RADramMemorySystem
-from repro.sim import ops as O
-from repro.sim.memory import PagedMemory
-from repro.sim.smp import AtomicRMW, Barrier, SMPMachine
-
-PAGES = 256
-CYCLES_PER_PAGE = 6.0 * 1023  # the database scan circuit
-
-
-def query_makespan(n_cpus: int) -> float:
-    memory = PagedMemory()
-    memsys = RADramMemorySystem(RADramConfig.reference())
-    smp = SMPMachine(n_cpus, memory=memory, memsys=memsys)
-    counter_region = memory.alloc(64)
-    counter = counter_region.base
-
-    share = PAGES // n_cpus
-    streams = []
-    for cpu in range(n_cpus):
-        ops = []
-        lo, hi = cpu * share, (cpu + 1) * share
-        for p in range(lo, hi):
-            ops.append(O.Activate(p, 16, PageTask.simple(CYCLES_PER_PAGE)))
-        for p in range(lo, hi):
-            ops.append(O.WaitPage(p))
-            ops.append(O.MemRead(0x4000_0000 + p * 512 * 1024, 4))
-            ops.append(O.Compute(660))
-        # Fold this CPU's partial count into the shared total with an
-        # atomic fetch-and-add on an ordinary sync variable.
-        ops.append(AtomicRMW(counter, "add", operand=cpu + 1))
-        ops.append(Barrier(1))
-        streams.append(ops)
-    smp.run(streams)
-    total = int(memory.read(counter, 4).view(np.uint32)[0])
-    assert total == sum(range(1, n_cpus + 1))  # atomicity held
-    return smp.makespan_ns
+from repro.experiments.extensions import SMP_PAGES, query_makespan
 
 
 def main() -> None:
     print("== SMP scaling of a saturated database query ==")
-    print(f"{PAGES} Active Pages of records, query dispatched by N CPUs\n")
+    print(f"{SMP_PAGES} Active Pages of records, query dispatched by N CPUs\n")
     base = None
     for n_cpus in (1, 2, 4, 8):
         t = query_makespan(n_cpus)

@@ -14,9 +14,10 @@ power        print the Section 3 port-width power study
 trace        run an app (or fig6) under the event tracer: Gantt chart,
              ``--out`` Perfetto trace_event JSON, ``--csv`` flat CSV
 fuzz         seeded, time-boxed fuzzing of generated workloads under
-             three oracles (sanitizer, model divergence, conventional/
-             RADram equivalence); failing cases are shrunk to JSON
-             reproducers, ``--replay FILE`` re-runs one
+             four oracles (sanitizer, model divergence, conventional/
+             RADram equivalence, regime bit-identity); failing cases
+             are shrunk to JSON reproducers, ``--replay FILE`` re-runs
+             one
 cache        inspect, summarize (``stats``), age-prune (``prune --days``)
              or clear the sweep result cache
 serve        long-running simulation service: HTTP/JSON-lines front-end
@@ -544,7 +545,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_faults.set_defaults(func=_cmd_faults)
 
     p_fuzz = sub.add_parser(
-        "fuzz", help="fuzz generated workloads under three oracles"
+        "fuzz", help="fuzz generated workloads under four oracles"
     )
     p_fuzz.add_argument("--seed", type=int, default=0, help="fuzz seed")
     p_fuzz.add_argument(

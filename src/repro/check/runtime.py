@@ -222,8 +222,20 @@ class Checker:
             lines.append(f"  ... {self.dropped} further violation(s) not stored")
         return "\n".join(lines)
 
+    def observing(self) -> bool:
+        """Whether per-op hooks can record a violation right now.
+
+        While no working span is in flight and no sync line is
+        watched, ``on_op`` only moves the clock hint for memory and
+        compute ops and ``on_cache_batch`` has nothing to resolve, so
+        the processor may fuse those ops and set :attr:`now` itself as
+        it replays them (code running inside the op stream's generator
+        meanwhile sees the hint of the last op replayed).
+        """
+        return bool(self._inflight or self._stale_watch)
+
     # ------------------------------------------------------------------
-    # Processor-op hook (top of ``Processor.step``)
+    # Processor-op hook (top of ``Processor._step``)
 
     def on_op(self, op: O.Op, proc) -> None:
         """Observe one processor operation before it executes."""

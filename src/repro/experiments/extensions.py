@@ -133,10 +133,51 @@ def reduction_study(
     )
 
 
+#: The saturated database query the SMP study splits across CPUs.
+SMP_PAGES = 256
+SMP_CYCLES_PER_PAGE = 6.0 * 1023  # the database scan circuit
+
+
+def query_makespan(n_cpus: int) -> float:
+    """Makespan (ns) of the query with its activations split over
+    ``n_cpus`` processors, folded with an atomic add and a barrier."""
+    import numpy as np
+
+    from repro.core.functions import PageTask
+    from repro.radram.system import RADramMemorySystem
+    from repro.sim import ops as O
+    from repro.sim.memory import PagedMemory
+    from repro.sim.smp import AtomicRMW, Barrier, SMPMachine
+
+    memory = PagedMemory()
+    memsys = RADramMemorySystem(RADramConfig.reference())
+    smp = SMPMachine(n_cpus, memory=memory, memsys=memsys)
+    counter = memory.alloc(64).base
+
+    share = SMP_PAGES // n_cpus
+    streams = []
+    for cpu in range(n_cpus):
+        ops = []
+        lo, hi = cpu * share, (cpu + 1) * share
+        for p in range(lo, hi):
+            ops.append(O.Activate(p, 16, PageTask.simple(SMP_CYCLES_PER_PAGE)))
+        for p in range(lo, hi):
+            ops.append(O.WaitPage(p))
+            ops.append(O.MemRead(0x4000_0000 + p * 512 * 1024, 4))
+            ops.append(O.Compute(660))
+        # Fold this CPU's partial count into the shared total with an
+        # atomic fetch-and-add on an ordinary sync variable.
+        ops.append(AtomicRMW(counter, "add", operand=cpu + 1))
+        ops.append(Barrier(1))
+        streams.append(ops)
+    smp.run(streams)
+    total = int(memory.read(counter, 4).view(np.uint32)[0])
+    assert total == sum(range(1, n_cpus + 1))  # atomicity held
+    return smp.makespan_ns
+
+
 def smp_study(cpu_counts: Sequence[int] = (1, 2, 4)) -> ExperimentResult:
     """SMP scaling of a saturated database query (Section 2)."""
-    from examples.smp_database import query_makespan
-
     rows = []
     base = None
     for n_cpus in cpu_counts:

@@ -16,6 +16,7 @@ below the committed baseline.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pathlib
 import time
@@ -87,10 +88,10 @@ CHECK_ENABLED_CEILING = 20.0
 #: The checker gate anchors on the same dispatch benchmark entry.
 CHECK_GATE_KEY = FAULTS_GATE_KEY
 
-#: A batched-execution workload's paired speedup ratio (scalar
-#: ``batching_enabled=False`` time over batched time, same process,
-#: fresh machines) may fall at most this far below baseline.  Both
-#: regimes run the identical op stream back to back, so host noise
+#: A batched-execution workload's paired speedup ratio (per-op
+#: reference time over production time, same process, fresh
+#: machines) may fall at most this far below baseline.  Both
+#: executors run the identical op stream back to back, so host noise
 #: cancels and the ratio is a property of the code.
 BATCHING_TOLERANCE = 0.30
 
@@ -289,32 +290,28 @@ def _dispatch_ops(n_pages: int = 64, rounds: int = 32):
 def run_dispatch_workload(trials: int = 5) -> Dict[str, float]:
     """The fault-path dispatch benchmark (:data:`FAULTS_GATE_KEY`).
 
-    Times 2048 activate/wait pairs through ``RADramMemorySystem`` four
-    ways: faults absent (``faults=None``, the default every experiment
-    runs with — this leg runs the batched executor and is the headline
-    ``dispatch_ms``), the same fault-free machine with batching forced
-    off (the scalar pairing leg — a present fault config or live
-    checker forces the scalar regime, so overhead ratios must pair
-    against scalar, not batched, time), a present-but-disabled
-    :class:`FaultConfig` (controller live, zero rates), and the frozen
-    scalar cache engine as a same-host yardstick.
-    ``faults_disabled_overhead`` (disabled-config time over scalar
-    faults-absent time) is the gated number — both sides run the same
-    workload in the same regime in the same call, so host noise
-    cancels and a 5% drift either way is code, not jitter.  ``dispatch_ratio`` (yardstick /
-    faults-absent time) is the sanitizer's disabled-path gate number
-    (see :data:`CHECK_OVERHEAD_TOLERANCE`): the scalar yardstick
-    carries no checker hooks, so a fall means the instrumented
-    checker-off path got slower.  The absolute timings are context.
+    Times 2048 activate/wait pairs through ``RADramMemorySystem``
+    three ways: faults absent (``faults=None``, the default every
+    experiment runs with — the headline ``dispatch_ms``), a
+    present-but-disabled :class:`FaultConfig` (controller live, zero
+    rates), and the frozen scalar cache engine as a same-host
+    yardstick.  ``faults_disabled_overhead`` (disabled-config time
+    over faults-absent time) is the gated number — both sides run the
+    same workload on the same executor in the same call, so host noise
+    cancels and a 5% drift either way is code, not jitter.
+    ``dispatch_ratio`` (yardstick / faults-absent time) is the
+    sanitizer's disabled-path gate number (see
+    :data:`CHECK_OVERHEAD_TOLERANCE`): the scalar yardstick carries no
+    checker hooks, so a fall means the instrumented checker-off path
+    got slower.  The absolute timings are context.
 
     A fourth leg runs the same workload with a live counting
     :class:`repro.check.runtime.Checker`; ``checker_overhead`` — the
-    *median across trials* of the per-trial checked/scalar ratio
-    (a live checker forces the scalar regime, so scalar is the fair
-    denominator)
-    (adjacent runs share the host's load burst, so the paired median
-    shrugs it off) — reports the enabled-mode cost, sanity-bounded by
-    :data:`CHECK_ENABLED_CEILING` rather than band-gated.
+    *median across trials* of the per-trial checked/faults-absent
+    ratio (adjacent runs share the host's load burst, so the paired
+    median shrugs it off) — reports the enabled-mode cost,
+    sanity-bounded by :data:`CHECK_ENABLED_CEILING` rather than
+    band-gated.
     """
     import statistics
 
@@ -322,7 +319,7 @@ def run_dispatch_workload(trials: int = 5) -> Dict[str, float]:
     from repro.faults.models import FaultConfig
 
     streams, write, repeats = _warm_retouch()
-    t_none = t_scalar = t_disabled = t_checked = t_yard = float("inf")
+    t_none = t_disabled = t_checked = t_yard = float("inf")
     checked_ratios = []
     for _ in range(trials):
         machine = _dispatch_machine(None)
@@ -330,17 +327,6 @@ def run_dispatch_workload(trials: int = 5) -> Dict[str, float]:
         machine.run(iter(_dispatch_ops()))
         trial_none = time.perf_counter() - t0
         t_none = min(t_none, trial_none)
-
-        # A present FaultConfig (and a live checker) force the scalar
-        # regime, so the overhead ratios pair against a scalar
-        # faults-absent leg — otherwise they would measure the batched
-        # executor's speedup, not the fault/checker machinery.
-        machine = _dispatch_machine(None)
-        machine.processor.batching_enabled = False
-        t0 = time.perf_counter()
-        machine.run(iter(_dispatch_ops()))
-        trial_scalar = time.perf_counter() - t0
-        t_scalar = min(t_scalar, trial_scalar)
 
         machine = _dispatch_machine(FaultConfig())
         t0 = time.perf_counter()
@@ -353,7 +339,7 @@ def run_dispatch_workload(trials: int = 5) -> Dict[str, float]:
             machine.run(iter(_dispatch_ops()))
             trial_checked = time.perf_counter() - t0
         t_checked = min(t_checked, trial_checked)
-        checked_ratios.append(trial_checked / trial_scalar)
+        checked_ratios.append(trial_checked / trial_none)
 
         yard = _reference_hierarchy(build_scalar_hierarchy)
         t_yard = min(t_yard, _time_workload(yard, streams, write, repeats))
@@ -361,12 +347,11 @@ def run_dispatch_workload(trials: int = 5) -> Dict[str, float]:
     return {
         "activations": 2048,
         "dispatch_ms": round(t_none * 1e3, 3),
-        "scalar_dispatch_ms": round(t_scalar * 1e3, 3),
         "faults_disabled_ms": round(t_disabled * 1e3, 3),
         "checked_ms": round(t_checked * 1e3, 3),
         "yardstick_ms": round(t_yard * 1e3, 3),
         "dispatch_ratio": round(t_yard / t_none, 3),
-        "faults_disabled_overhead": round(t_disabled / t_scalar, 2),
+        "faults_disabled_overhead": round(t_disabled / t_none, 2),
         "checker_overhead": round(statistics.median(checked_ratios), 2),
     }
 
@@ -485,8 +470,8 @@ def run_checked_dispatch_workload() -> Dict[str, float]:
 
 
 # ----------------------------------------------------------------------
-# Batched-execution workloads: the fused segment executor vs the
-# retained scalar oracle (``Processor.batching_enabled = False``).
+# Batched-execution workloads: the production executor vs the per-op
+# reference (:mod:`repro.sim.processor_reference`).
 
 
 def _processor_step_ops(blocks: int = 12_500):
@@ -494,8 +479,8 @@ def _processor_step_ops(blocks: int = 12_500):
 
     Eight ops per block — reads, compute, writes over a rolling window
     — with no sync points, so the batched executor fuses the whole
-    stream into maximal segments while the scalar oracle replays it op
-    by op.
+    stream into maximal segments while the per-op reference replays it
+    op by op.
     """
     from repro.sim import ops as O
 
@@ -521,22 +506,22 @@ def _conventional_machine():
     return Machine(memory=PagedMemory())
 
 
+def _timed_run(machine, ops, batching: bool) -> float:
+    """Seconds to run ``ops``: production, or the per-op reference."""
+    from repro.sim.processor_reference import per_op_reference
+
+    with contextlib.nullcontext() if batching else per_op_reference():
+        t0 = time.perf_counter()
+        machine.run(iter(ops))
+        return time.perf_counter() - t0
+
+
 def _run_processor_step(batching: bool) -> float:
-    machine = _conventional_machine()
-    machine.processor.batching_enabled = batching
-    ops = _processor_step_ops()
-    t0 = time.perf_counter()
-    machine.run(iter(ops))
-    return time.perf_counter() - t0
+    return _timed_run(_conventional_machine(), _processor_step_ops(), batching)
 
 
 def _run_dispatch_batch(batching: bool) -> float:
-    machine = _dispatch_machine(None)
-    machine.processor.batching_enabled = batching
-    ops = _dispatch_ops()
-    t0 = time.perf_counter()
-    machine.run(iter(ops))
-    return time.perf_counter() - t0
+    return _timed_run(_dispatch_machine(None), _dispatch_ops(), batching)
 
 
 #: name -> (runner taking ``batching: bool``, op count for context).
@@ -549,9 +534,10 @@ BATCH_WORKLOADS: Dict[str, Tuple[Callable[[bool], float], int]] = {
 def run_batch_workload(name: str, trials: int = 3) -> Dict[str, float]:
     """One batched-vs-scalar paired measurement.
 
-    Both regimes execute the identical op stream on fresh machines in
-    the same call; the gated ``batch_speedup_ratio`` is scalar time
-    over batched time, so host noise cancels.
+    Production and the per-op reference execute the identical op
+    stream on fresh machines in the same call; the gated
+    ``batch_speedup_ratio`` is reference time over production time, so
+    host noise cancels.
     """
     import statistics
 
@@ -722,7 +708,7 @@ def refresh_baseline(note: str = "", trials: int = 3) -> dict:
             "is 'speedup_ratio' (vectorized engine vs scalar reference, "
             "same host): machine-independent. Absolute ms are context "
             "only. 'batch_workloads' gates the fused op-stream executor "
-            "against the retained scalar oracle the same way "
+            "against the per-op reference executor the same way "
             "('batch_speedup_ratio'). Refresh with: python -m repro bench"
         ),
         "regression_tolerance": REGRESSION_TOLERANCE,

@@ -41,21 +41,10 @@ class RADramMemorySystem(MemorySystemBase):
     # granularity, so the processor must poll between ops.
     needs_poll = True
 
-    @property
-    def supports_batching(self) -> bool:
-        """Fused-segment execution is exact only without fault hooks.
-
-        Fault injection interposes per-activation and per-wait
-        callbacks (plus degraded replays) that the batch handlers do
-        not replicate — with a controller attached the processor keeps
-        the scalar oracle loop.
-        """
-        return self.faults is None
-
     def has_pending_service(self) -> bool:
         """While no page is queued for service, ``poll`` is a no-op.
 
-        This is the invariant the batched executor relies on to skip
+        This is the invariant the processor's executor relies on to skip
         per-op polls inside a straight-line segment: ``_blocked`` only
         ever grows inside the Activate/WaitPage/ServicePending
         handlers, which are segment boundaries.
@@ -110,7 +99,7 @@ class RADramMemorySystem(MemorySystemBase):
     # Operation handlers
 
     def handle_activate(self, op: O.Activate, proc: Processor) -> None:
-        if not isinstance(op.task, object) or op.task is None:
+        if op.task is None:
             raise OperationError("Activate op carries no page task")
         cost = activation_ns(
             op.descriptor_words,
@@ -151,17 +140,20 @@ class RADramMemorySystem(MemorySystemBase):
         """Dispatch a run of Activates (+ phase markers) without the
         per-op interpreter overhead.
 
-        Only called by the batched executor, which guarantees tracer,
-        sanitizer and faults are all off — so the per-activation work
-        reduces to the dispatch-cost formula, the stats/clock charges
-        and the subarray start.  The cost expression reuses the exact
-        integer/float operation order of
-        :func:`repro.radram.dispatch.activation_ns`, so charges are
-        bit-identical to the scalar path.  Stops (returning the count
+        The processor calls this only with tracer and sanitizer off;
+        with a fault controller attached every op goes to
+        :meth:`handle_activate`, which carries the fault hooks.
+        Otherwise the per-activation work reduces to the dispatch-cost
+        formula, the stats/clock charges and the subarray start.  The
+        cost expression reuses the exact integer/float operation order
+        of :func:`repro.radram.dispatch.activation_ns`, so charges are
+        bit-identical to the per-op path.  Stops (returning the count
         consumed) as soon as an activation blocks on a
         processor-mediated reference, handing control back to the
-        scalar loop.
+        processor's per-op loop.
         """
+        if self.faults is not None:
+            return super().handle_activate_batch(ops, proc)
         mconfig = self.machine.config
         per_word = mconfig.dram.miss_latency_ns + mconfig.bus.transfer_ns(4)
         base = self.config.activation_base_ns
@@ -205,7 +197,7 @@ class RADramMemorySystem(MemorySystemBase):
                 if nbytes > 0:
                     # Inline Bus.transfer (tracer is off by precondition);
                     # the busy accumulation stays sequential, so counters
-                    # match the scalar path bit-for-bit.
+                    # match the per-op path bit-for-bit.
                     bus.bytes_transferred += nbytes
                     bus.busy_ns += bus_ns
                     bus.transfers += 1
@@ -230,12 +222,14 @@ class RADramMemorySystem(MemorySystemBase):
     def handle_wait_batch(self, ops, proc: Processor) -> int:
         """Retire a run of WaitPage ops (+ phase markers).
 
-        Fault-free precondition as for :meth:`handle_activate_batch`.
-        A page that ran to completion unblocked — the common case —
-        needs only the completion-time stall; anything blocked goes
-        through :meth:`handle_wait`, and the batch stops once service
-        work is left pending.
+        Preconditions and the fault hand-off as for
+        :meth:`handle_activate_batch`.  A page that ran to completion
+        unblocked — the common case — needs only the completion-time
+        stall; anything blocked goes through :meth:`handle_wait`, and
+        the batch stops once service work is left pending.
         """
+        if self.faults is not None:
+            return super().handle_wait_batch(ops, proc)
         subarrays = self.subarrays
         stats = proc.stats
         sd = stats.__dict__

@@ -38,9 +38,9 @@ writebacks in vectorized passes:
   order is exactly "pre-state lines in LRU order, then this batch's
   installs in order";
 * everything else (mixed hit/miss runs, the interleaved
-  demand/writeback streams a lower level receives) falls back to an
-  exact per-set scalar walk over numpy-extracted state, with per-set
-  all-hit groups still peeled off vectorially.
+  demand/writeback streams a lower level receives) resolves
+  round-major when wide and otherwise falls back to an exact per-set
+  scalar walk over numpy-extracted state.
 
 Misses are *batched* into the next level: one recursive
 ``access_lines``-style call per level per batch carries the demand
@@ -366,10 +366,11 @@ class Cache:
         caller folds each op's slice left-to-right, which reproduces
         separate :meth:`access_lines` totals bit-identically (the
         scalar accumulation and ``cumsum`` share the same association
-        order).  Instrumentation hooks (tracer / sanitizer batch
-        events) are *not* consulted — the batched executor only calls
-        this while both are disabled; instrumented runs take the
-        scalar oracle path instead.
+        order).  A live tracer gets one batch event for the whole call.
+        The sanitizer's stale-sync hook is not consulted: the processor
+        fuses ops only while the checker watches no line, when
+        :meth:`~repro.check.runtime.Checker.on_cache_batch` has nothing
+        to resolve.
         """
         parts = [_as_line_array(a) for a in line_arrays]
         addrs = np.concatenate(parts)
@@ -379,7 +380,15 @@ class Cache:
             ),
             [p.shape[0] for p in parts],
         )
-        return self._process(addrs, kinds)
+        tr = _trace.TRACER
+        if tr is None:
+            return self._process(addrs, kinds)
+        h0, m0, w0 = self.stats.hits, self.stats.misses, self.stats.writebacks
+        lat = self._process(addrs, kinds)
+        self._trace_batch(
+            tr, addrs.shape[0], any(write_flags), float(lat.sum()), h0, m0, w0
+        )
+        return lat
 
     def _trace_batch(
         self, tr, n: int, write: bool, total: float, h0: int, m0: int, w0: int
@@ -431,7 +440,7 @@ class Cache:
         if demand.all() and not hit.any() and _all_distinct(addrs):
             return self._apply_cold_distinct(addrs, set_idx, tag, kinds)
 
-        return self._apply_general(addrs, set_idx, tag, kinds, hit, match)
+        return self._apply_general(addrs, set_idx, tag, kinds)
 
     # -- fast path 1: every op hits in the pre-state -------------------
 
@@ -584,15 +593,13 @@ class Cache:
         set_idx: np.ndarray,
         tag: np.ndarray,
         kinds: np.ndarray,
-        hit: np.ndarray,
-        match: np.ndarray,
     ) -> np.ndarray:
         """Mixed hit/miss (or repeated / install-bearing) batches.
 
-        Sets are independent, so sets whose ops all hit in the
-        pre-state are peeled off with the vector path; the rest are
-        walked per set with exact scalar LRU over numpy-extracted
-        state.  Next-level traffic is re-merged into global order.
+        Sets are independent: wide batches resolve round-major, the
+        rest are walked per set with exact scalar LRU over
+        numpy-extracted state.  Next-level traffic is re-merged into
+        global order.
         """
         n = addrs.shape[0]
         assoc = self._assoc
@@ -603,25 +610,7 @@ class Cache:
         start, counts, uniq = _group_sorted(s_sorted)
         m = uniq.shape[0]
 
-        # Peel off all-hit sets (no evictions possible there).
-        hit_sorted = hit[order]
-        group_allhit = np.minimum.reduceat(hit_sorted, start).astype(bool)
         lat = np.zeros(n)
-        if group_allhit.any():
-            op_allhit = np.repeat(group_allhit, counts)
-            easy = order[op_allhit]
-            lat[easy] = self._apply_all_hits(
-                addrs[easy], set_idx[easy], kinds[easy], match[easy], kinds[easy] != _INSTALL
-            )
-            if group_allhit.all():
-                return lat
-            keep_groups = ~group_allhit
-            keep_ops = ~op_allhit
-            order = order[keep_ops]
-            counts = counts[keep_groups]
-            uniq = uniq[keep_groups]
-            start = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            m = uniq.shape[0]
 
         # Wide batches over many sets: resolve round-major, one vector
         # op per "j-th access of every set" (exact — sets independent).

@@ -22,10 +22,6 @@ from repro.sim.stats import MachineStats
 class ConventionalMemorySystem(MemorySystemBase):
     """Plain DRAM behind the caches — the paper's baseline system."""
 
-    #: No Active-Page state, no polling, no faults: every op stream is
-    #: safe to run through the fused batched executor.
-    supports_batching = True
-
 
 class Machine:
     """A complete simulated machine.

@@ -17,36 +17,43 @@ Between operations the memory system is polled so pages blocked on
 inter-page references get serviced at instruction granularity, matching
 the paper's processor-mediated communication.
 
-Execution regimes
------------------
-``run`` picks one of two regimes per stream:
+Execution
+---------
+``run`` has one executor.  Straight-line segments between sync points
+(``Activate``/``WaitPage``/``ServicePending``/``FlushRange``) are
+buffered, their memory footprints expanded once and resolved by the
+cache in a single wide batch, and the per-op clock/stats charges
+replayed sequentially from the per-line latencies.  The fold order
+matches the per-op interpreter (``_step`` plus a ``poll`` per op)
+exactly, so ``MachineStats`` is bit-identical, not merely close
+(``tests/sim/test_batched_exec.py`` runs that interpreter as the
+reference oracle).
 
-* the **scalar oracle** — :meth:`Processor.step` per op (plus a poll
-  for polling systems), exactly the historical loop; and
-* the **batched executor** — straight-line segments between sync
-  points (``Activate``/``WaitPage``/``ServicePending``/``FlushRange``)
-  are buffered, their memory footprints expanded once and resolved by
-  the cache in a single wide batch, and the per-op clock/stats charges
-  replayed sequentially from the per-line latencies.  The fold order
-  matches the scalar loop exactly, so ``MachineStats`` is
-  bit-identical, not merely close (the differential suite in
-  ``tests/sim/test_batched_exec.py`` enforces this).
-
-The batched regime is only entered when the tracer and the sanitizer
-are both disabled and the memory system opts in via
-``supports_batching`` (RADram opts out while fault injection is
-active); otherwise the scalar oracle runs with identical semantics.
 Polls are skipped inside a segment only while the memory system
 reports no pending service work — while the blocked-page queue is
 empty, ``poll`` is by construction a no-op, so skipping it cannot
-change behaviour.  As soon as a sync op leaves service pending, the
-executor drops to the scalar per-op loop (with polls) until the queue
-drains.
+change behaviour.  While a sync op leaves service pending, ops go
+through ``_step`` one at a time, each followed by a poll, until the
+queue drains.
+
+Instrumentation observes the same executor:
+
+* a live tracer gets the ``cpu`` spans and ``cpu.phase`` events from
+  the segment replay, with the timestamps ``charge`` and ``_step``
+  give them; cache, DRAM and bus events come once per fused batch;
+* a live checker sees every op through ``Checker.on_op`` with the
+  exact clock: sync ops, and every op while the checker has working
+  spans in flight or sync lines watched, run through ``_step``; in
+  between, ``on_op`` could only move the checker's clock hint, which
+  the replay sets to each op's start time;
+* with a tracer or checker live, ``Activate``/``WaitPage`` runs go
+  through ``_step`` per op; with a fault controller attached the
+  memory system's batch handlers hand each op to its per-op handler.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.sim.cache import Cache
 from repro.sim.config import MachineConfig
@@ -56,10 +63,10 @@ from repro.sim.stats import MachineStats
 from repro.check import runtime as _check
 from repro.trace import events as _trace
 
-#: Stream-exhausted marker for the batched executor (never a valid op).
+#: Stream-exhausted marker for the executor (never a valid op).
 _SENTINEL = object()
 
-#: Segment-entry tags for the batched executor.
+#: Segment-entry tags for the executor.
 _ENT_COMPUTE = 0
 _ENT_MEM = 1
 _ENT_BEGIN = 2
@@ -78,11 +85,6 @@ class MemorySystemBase:
     #: call per op; RADram keeps instruction-granularity polling.
     needs_poll: bool = False
 
-    #: Whether the batched executor may fuse straight-line segments
-    #: for this system.  Default False: an unknown subclass keeps the
-    #: exact scalar per-op loop, including its per-op polls.
-    supports_batching: bool = False
-
     def on_run_begin(self, proc: "Processor") -> None:
         """Called once before an op stream starts."""
 
@@ -95,9 +97,9 @@ class MemorySystemBase:
     def has_pending_service(self) -> bool:
         """Whether :meth:`poll` could do work right now.
 
-        The batched executor skips per-op polls only while this is
-        False.  The conservative default (always True) keeps any
-        polling system that does not override it on the scalar loop.
+        The executor skips per-op polls only while this is False.  The
+        conservative default (always True) keeps any polling system
+        that does not override it on the per-op path.
         """
         return True
 
@@ -111,47 +113,33 @@ class MemorySystemBase:
         """Explicit ServicePending op; default is a no-op."""
 
     # ------------------------------------------------------------------
-    # Batched-executor hooks.  Only invoked with tracer and sanitizer
-    # disabled; ``ops`` is a run of Activate/WaitPage ops with phase
-    # markers interleaved, to be applied strictly in order.  Both
-    # return the number of ops consumed — a handler stops early (and
-    # the executor finishes the rest through the scalar path) as soon
-    # as one leaves service work pending.
+    # Batch hooks.  Only invoked with tracer and sanitizer disabled;
+    # ``ops`` is a run of Activate/WaitPage ops with phase markers
+    # interleaved, to be applied strictly in order.  Both return the
+    # number of ops consumed — a handler stops early (and the executor
+    # finishes the rest per op) as soon as one leaves service work
+    # pending.  The defaults hand every op to the per-op handler.
 
     def handle_activate_batch(self, ops: List[O.Op], proc: "Processor") -> int:
-        stats = proc.stats
-        consumed = 0
-        for op in ops:
-            cls = op.__class__
-            if cls is O.BeginPhase:
-                stats.begin_phase(op.name)
-            elif cls is O.EndPhase:
-                stats.end_phase(op.name)
-            else:
-                self.handle_activate(op, proc)
-                consumed += 1
-                if self.needs_poll and self.has_pending_service():
-                    return consumed
-                continue
-            consumed += 1
-        return consumed
+        return self._per_op_batch(ops, proc, self.handle_activate)
 
     def handle_wait_batch(self, ops: List[O.Op], proc: "Processor") -> int:
+        return self._per_op_batch(ops, proc, self.handle_wait)
+
+    def _per_op_batch(self, ops: List[O.Op], proc: "Processor", handle) -> int:
         stats = proc.stats
         consumed = 0
         for op in ops:
             cls = op.__class__
+            consumed += 1
             if cls is O.BeginPhase:
                 stats.begin_phase(op.name)
             elif cls is O.EndPhase:
                 stats.end_phase(op.name)
             else:
-                self.handle_wait(op, proc)
-                consumed += 1
+                handle(op, proc)
                 if self.needs_poll and self.has_pending_service():
-                    return consumed
-                continue
-            consumed += 1
+                    break
         return consumed
 
 
@@ -169,14 +157,10 @@ class Processor:
         self.memsys = memsys
         self.now: float = 0.0
         self.stats = MachineStats()
-        #: Tracer bound for the current run()/step() dynamic extent.
+        #: Tracer bound for the current run() dynamic extent.
         #: ``charge`` reads this instead of the module attribute — one
         #: global lookup per run instead of one per charge.
         self._tr = _trace.TRACER
-        #: Escape hatch: pin the scalar oracle loop even when the
-        #: memory system supports batching (differential tests and the
-        #: paired-ratio benchmarks flip this).
-        self.batching_enabled: bool = True
 
     # ------------------------------------------------------------------
     # Time charging helpers (used by the memory system too)
@@ -204,42 +188,12 @@ class Processor:
     # ------------------------------------------------------------------
     # Operation interpretation
 
-    def run(self, stream: Iterable[O.Op]) -> MachineStats:
-        """Execute an op stream to completion; returns the stats."""
-        memsys = self.memsys
-        memsys.on_run_begin(self)
-        ck = _check.CHECKER
-        self._tr = tr = _trace.TRACER
-        if (
-            ck is None
-            and tr is None
-            and self.batching_enabled
-            and memsys.supports_batching
-            and not (memsys.needs_poll and memsys.has_pending_service())
-        ):
-            self._run_batched(stream)
-        elif memsys.needs_poll:
-            step = self._step
-            poll = memsys.poll
-            for op in stream:
-                step(op, ck, tr)
-                poll(self)
-        else:
-            step = self._step
-            for op in stream:
-                step(op, ck, tr)
-        memsys.on_run_end(self)
-        self.stats.total_ns = self.now
-        return self.stats
-
-    def step(self, op: O.Op) -> None:
-        """Execute a single operation (SMP co-simulation entry point)."""
-        self._tr = tr = _trace.TRACER
-        self._step(op, _check.CHECKER, tr)
-
     def _step(self, op: O.Op, ck, tr) -> None:
-        """Scalar oracle: one op, with the instrumentation guards
-        hoisted to arguments (bound once per run by the caller)."""
+        """Interpret one op, with the instrumentation guards hoisted to
+        arguments (bound once per run by the caller).
+
+        ``run`` uses it for sync ops and per-op stretches; SMP
+        co-simulation steps every op through it."""
         if ck is not None:
             ck.on_op(op, self)
         line = self.l1d.config.line_bytes
@@ -289,30 +243,29 @@ class Processor:
         else:
             raise OperationError(f"unknown operation {op!r}")
 
-    # ------------------------------------------------------------------
-    # Batched executor
-
-    def _run_batched(self, stream: Iterable[O.Op]) -> None:
-        """Fused-segment regime (bit-identical to the scalar loop).
+    def run(self, stream: Iterable[O.Op]) -> MachineStats:
+        """Execute an op stream to completion; returns the stats.
 
         Straight-line ops accumulate into a segment: Compute charges
         are precomputed, memory ops expand their line footprints once.
         ``_flush_segment`` resolves the footprint in one wide cache
         batch and replays the per-op charges sequentially.  Sync ops
-        flush the segment and go through the same memory-system
-        handlers the scalar loop uses; runs of Activate/WaitPage ops
-        (with interleaved phase markers) are forwarded to the batch
-        handlers.  While a sync op leaves service pending, ops run
-        through the scalar oracle with per-op polls — exactly the
-        historical loop.
+        flush the segment; uninstrumented runs of Activate/WaitPage
+        ops (with interleaved phase markers) go to the memory system's
+        batch handlers, every other sync op through ``_step``.  While
+        service is pending, or a live checker has spans in flight or
+        lines watched, ops run through ``_step`` with per-op polls.
         """
         memsys = self.memsys
+        memsys.on_run_begin(self)
+        ck = _check.CHECKER
+        self._tr = tr = _trace.TRACER
+        observed = ck is not None or tr is not None
         needs_poll = memsys.needs_poll
         poll = memsys.poll
         pending = memsys.has_pending_service
         step = self._step
-        l1d = self.l1d
-        line = l1d.config.line_bytes
+        line = self.l1d.config.line_bytes
         compute_ns = self.config.cpu.compute_ns
         lines_for_block = O.lines_for_block
         lines_for_stride = O.lines_for_stride
@@ -324,151 +277,134 @@ class Processor:
         StridedWrite = O.StridedWrite
         GatherRead = O.GatherRead
         ScatterWrite = O.ScatterWrite
-        FlushRange = O.FlushRange
         Activate = O.Activate
         WaitPage = O.WaitPage
-        ServicePending = O.ServicePending
         BeginPhase = O.BeginPhase
         EndPhase = O.EndPhase
-
-        tags: list = []  # _ENT_* codes
-        vals: list = []  # ns / mem index / phase name, per entry
-        arrays: list = []  # line arrays of the segment's memory ops
-        writes: list = []  # per-array write flag
-        n_lines = 0
         flush = self._flush_segment
 
         it = iter(stream)
         op = next(it, _SENTINEL)
         while op is not _SENTINEL:
-            t = op.__class__
-            if t is Compute:
-                ns = compute_ns(op.ops)
-                if ns < 0:
-                    # The scalar charge() raises here, after applying
-                    # every earlier op — replicate exactly.
-                    flush(tags, vals, arrays, writes, n_lines)
-                    raise OperationError("cannot charge negative time")
-                tags.append(_ENT_COMPUTE)
-                vals.append(ns)
+            # Per-op stretch: a poll may do work, or the checker may
+            # record a violation whose context must be exact.
+            while op is not _SENTINEL and (
+                (needs_poll and pending()) or (ck is not None and ck.observing())
+            ):
+                step(op, ck, tr)
+                poll(self)
                 op = next(it, _SENTINEL)
-                continue
-            w = True
-            if t is MemRead:
-                arr = lines_for_block(op.addr, op.nbytes, line)
-                w = False
-            elif t is MemWrite:
-                arr = lines_for_block(op.addr, op.nbytes, line)
-            elif t is StridedRead:
-                arr = lines_for_stride(
-                    op.addr, op.count, op.stride_bytes, op.elem_bytes, line
-                )
-                w = False
-            elif t is StridedWrite:
-                arr = lines_for_stride(
-                    op.addr, op.count, op.stride_bytes, op.elem_bytes, line
-                )
-            elif t is GatherRead:
-                arr = lines_for_gather(op.addrs, op.elem_bytes, line)
-                w = False
-            elif t is ScatterWrite:
-                arr = lines_for_gather(op.addrs, op.elem_bytes, line)
-            elif t is BeginPhase:
-                tags.append(_ENT_BEGIN)
-                vals.append(op.name)
-                op = next(it, _SENTINEL)
-                continue
-            elif t is EndPhase:
-                tags.append(_ENT_END)
-                vals.append(op.name)
-                op = next(it, _SENTINEL)
-                continue
-            else:
-                # Sync point: flush the fused segment, then run the op
-                # through the scalar handlers.
-                if tags:
-                    flush(tags, vals, arrays, writes, n_lines)
-                    tags = []
-                    vals = []
-                    arrays = []
-                    writes = []
-                    n_lines = 0
-                if t is Activate or t is WaitPage:
-                    run_ops = [op]
-                    gather = Activate if t is Activate else WaitPage
+
+            tags: list = []  # _ENT_* codes
+            vals: list = []  # ns / mem index / phase name, per entry
+            arrays: list = []  # line arrays of the segment's memory ops
+            writes: list = []  # per-array write flag
+            n_lines = 0
+            while op is not _SENTINEL:
+                t = op.__class__
+                if t is Compute:
+                    ns = compute_ns(op.ops)
+                    if ns < 0:
+                        break  # ``_step`` raises once the segment is in
+                    tags.append(_ENT_COMPUTE)
+                    vals.append(ns)
                     op = next(it, _SENTINEL)
-                    cls = op.__class__
-                    while cls is gather or cls is BeginPhase or cls is EndPhase:
-                        run_ops.append(op)
-                        op = next(it, _SENTINEL)
-                        cls = op.__class__
-                    if t is Activate:
-                        done = memsys.handle_activate_batch(run_ops, self)
-                    else:
-                        done = memsys.handle_wait_batch(run_ops, self)
-                    # Pending service stopped the batch: finish the
-                    # rest of the run on the scalar loop.
-                    while done < len(run_ops):
-                        step(run_ops[done], None, None)
-                        poll(self)
-                        done += 1
-                elif t is FlushRange:
-                    if op.nbytes > 0:
-                        lo_line = op.addr // line
-                        hi_line = (op.addr + op.nbytes - 1) // line
-                        self.charge("mem_ns", l1d.flush_range(lo_line, hi_line))
+                    continue
+                w = True
+                if t is MemRead:
+                    arr = lines_for_block(op.addr, op.nbytes, line)
+                    w = False
+                elif t is MemWrite:
+                    arr = lines_for_block(op.addr, op.nbytes, line)
+                elif t is StridedRead:
+                    arr = lines_for_stride(
+                        op.addr, op.count, op.stride_bytes, op.elem_bytes, line
+                    )
+                    w = False
+                elif t is StridedWrite:
+                    arr = lines_for_stride(
+                        op.addr, op.count, op.stride_bytes, op.elem_bytes, line
+                    )
+                elif t is GatherRead:
+                    arr = lines_for_gather(op.addrs, op.elem_bytes, line)
+                    w = False
+                elif t is ScatterWrite:
+                    arr = lines_for_gather(op.addrs, op.elem_bytes, line)
+                elif t is BeginPhase:
+                    tags.append(_ENT_BEGIN)
+                    vals.append(op.name)
                     op = next(it, _SENTINEL)
-                elif t is ServicePending:
-                    memsys.handle_service(self)
+                    continue
+                elif t is EndPhase:
+                    tags.append(_ENT_END)
+                    vals.append(op.name)
                     op = next(it, _SENTINEL)
+                    continue
                 else:
-                    step(op, None, None)  # unknown op: raises, like scalar
-                    op = next(it, _SENTINEL)
-                if needs_poll:
-                    # One poll per op, like the scalar loop; polls in
-                    # excess of that are provably no-ops (the queue
-                    # head cannot have become due without the clock
-                    # moving).  Stay scalar while service is pending.
-                    poll(self)
-                    while op is not _SENTINEL and pending():
-                        step(op, None, None)
-                        poll(self)
-                        op = next(it, _SENTINEL)
-                continue
-            # Common memory-op tail: empty footprints charge exactly
-            # 0.0 in the scalar loop, so dropping them is identical.
-            m = len(arr)
-            if m:
+                    break  # sync point
                 tags.append(_ENT_MEM)
                 vals.append(len(arrays))
                 arrays.append(arr)
                 writes.append(w)
-                n_lines += m
+                n_lines += len(arr)
                 if n_lines >= _SEGMENT_MAX_LINES:
-                    flush(tags, vals, arrays, writes, n_lines)
-                    tags = []
-                    vals = []
-                    arrays = []
-                    writes = []
-                    n_lines = 0
-            op = next(it, _SENTINEL)
-        if tags:
-            flush(tags, vals, arrays, writes, n_lines)
+                    flush(tags, vals, arrays, writes, n_lines, ck, tr)
+                    tags, vals, arrays, writes, n_lines = [], [], [], [], 0
+                op = next(it, _SENTINEL)
+            if tags:
+                flush(tags, vals, arrays, writes, n_lines, ck, tr)
+            if op is _SENTINEL:
+                break
+            t = op.__class__
+            if observed or not (t is Activate or t is WaitPage):
+                step(op, ck, tr)
+                op = next(it, _SENTINEL)
+            else:
+                run_ops = [op]
+                op = next(it, _SENTINEL)
+                cls = op.__class__
+                while cls is t or cls is BeginPhase or cls is EndPhase:
+                    run_ops.append(op)
+                    op = next(it, _SENTINEL)
+                    cls = op.__class__
+                if t is Activate:
+                    done = memsys.handle_activate_batch(run_ops, self)
+                else:
+                    done = memsys.handle_wait_batch(run_ops, self)
+                # Pending service stopped the batch: finish the rest of
+                # the run per op.
+                while done < len(run_ops):
+                    step(run_ops[done], ck, tr)
+                    poll(self)
+                    done += 1
+            if needs_poll:
+                # One poll per op, like the per-op loop; polls in
+                # excess of that are provably no-ops (the queue head
+                # cannot have become due without the clock moving).
+                poll(self)
+        memsys.on_run_end(self)
+        self.stats.total_ns = self.now
+        return self.stats
 
     def _flush_segment(
-        self, tags: list, vals: list, arrays: list, writes: list, n_lines: int
+        self,
+        tags: list,
+        vals: list,
+        arrays: list,
+        writes: list,
+        n_lines: int,
+        ck,
+        tr,
     ) -> None:
         """Resolve one fused segment and replay its charges in order.
 
         Memory latencies come from one wide cache batch; each op's
         total is folded left-to-right over its slice of the per-line
-        latency array — the same association order as the scalar
-        loop's per-op accumulation, hence bit-identical.  Clock and
-        stats updates are then applied sequentially per entry (float
+        latency array — the same association order as ``_step``'s
+        per-op accumulation, hence bit-identical.  Clock and stats
+        updates are then applied sequentially per entry (float
         addition is not associative, so they cannot be collapsed).
         """
-        if not tags:
-            return
         l1d = self.l1d
         if len(arrays) > 1 and n_lines > l1d._SMALL_BATCH:
             lat = l1d.access_lines_batch(arrays, writes).tolist()
@@ -482,6 +418,25 @@ class Processor:
             access = l1d.access_lines
             mem_totals = [access(arr, w) for arr, w in zip(arrays, writes)]
         stats = self.stats
+        if ck is not None or tr is not None:
+            # The per-op observations: ``on_op``'s clock hint, then the
+            # charge spans and phase events ``_step`` would emit.
+            for tag, val in zip(tags, vals):
+                if ck is not None:
+                    ck.now = self.now
+                if tag == _ENT_COMPUTE:
+                    self.charge("compute_ns", val)
+                elif tag == _ENT_MEM:
+                    self.charge("mem_ns", mem_totals[val])
+                elif tag == _ENT_BEGIN:
+                    stats.begin_phase(val)
+                    if tr is not None:
+                        tr.begin("cpu.phase", val, self.now)
+                else:
+                    stats.end_phase(val)
+                    if tr is not None:
+                        tr.end("cpu.phase", val, self.now)
+            return
         d = stats.__dict__
         stack = stats._phase_stack
         phase_ns = stats.phase_ns

@@ -13,8 +13,9 @@ On top of the generators, :mod:`repro.workloads.fuzz` implements
 ``python -m repro fuzz``: a seeded, time-boxed mutation loop over
 generator parameters (plus byte-level input mutation for the imaging
 and MPEG applications) that runs each candidate on both memory systems
-under three oracles — the runtime sanitizer, measured-vs-analytic-model
-divergence, and conventional/RADram result equality — and shrinks any
+under four oracles — the runtime sanitizer, measured-vs-analytic-model
+divergence, conventional/RADram result equality, and bit-identity
+across execution regimes — and shrinks any
 counterexample to a minimal replayable JSON case file.
 """
 

@@ -1,8 +1,9 @@
 """Seeded perf/correctness fuzzing: ``python -m repro fuzz``.
 
 The fuzzer is a time-boxed mutation loop over generator parameter
-points.  Each candidate case runs once on each memory system with the
-runtime sanitizer installed, and is judged by three oracles:
+points.  Each candidate case runs on each memory system with the
+runtime sanitizer installed, and again under the execution regimes of
+the ``regimes`` oracle; it is judged by four oracles:
 
 ``checker``
     The :mod:`repro.check` runtime sanitizer in counting mode — any
@@ -19,6 +20,14 @@ runtime sanitizer installed, and is judged by three oracles:
     must stay within the generator's documented ``model_tolerance``
     (scaled by ``--tolerance-scale``).
 
+``regimes``
+    Bit-identity between execution regimes.  Each system's plain run
+    must equal, on ``MachineStats.as_dict()``, ``phase_ns``,
+    ``total_ns`` and the final memory image, its per-op reference run
+    (:mod:`repro.sim.processor_reference`), its traced run, its
+    checked run (the ``checker`` oracle's), and on RADram its run with
+    a zero-rate :class:`~repro.faults.models.FaultConfig`.
+
 A failing case is *shrunk* — axes are greedily moved toward their
 defaults (and the problem size toward its minimum) while the failure
 reproduces — and written as a replayable JSON case file.
@@ -31,6 +40,7 @@ produces the same candidate sequence on every run.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
@@ -44,7 +54,11 @@ from repro.apps.base import PHASE_ACTIVATION, PHASE_POST
 from repro.apps.registry import FUZZ_APPS, get_app
 from repro.check.runtime import CheckError, checking
 from repro.core.model import partitioned_time
-from repro.experiments.runner import run_conventional, run_radram
+from repro.experiments.runner import RunResult, run_conventional, run_radram
+from repro.faults.models import FaultConfig
+from repro.radram.config import RADramConfig
+from repro.sim.processor_reference import per_op_reference
+from repro.trace.events import tracing
 from repro.workloads.base import Generator, get_generator
 
 #: Fuzzing runs small pages so a candidate simulates in ~0.1 s: the
@@ -58,6 +72,9 @@ CASE_SCHEMA = 1
 ORACLE_CHECKER = "checker"
 ORACLE_EQUIVALENCE = "equivalence"
 ORACLE_MODEL = "model"
+ORACLE_REGIMES = "regimes"
+
+SYSTEMS = ("conventional", "radram")
 
 
 @dataclass(frozen=True)
@@ -150,15 +167,89 @@ def _fmt_params(params: Mapping[str, float]) -> str:
 # Oracles
 
 
+def _simulate(
+    system: str, app, case: FuzzCase, n_pages: float, wparams, **kwargs
+) -> RunResult:
+    """One functional run of ``case`` on ``system``."""
+    if system == "conventional":
+        return run_conventional(
+            app,
+            n_pages,
+            page_bytes=case.page_bytes,
+            functional=True,
+            seed=case.seed,
+            cap_pages=None,
+            params=wparams,
+        )
+    return run_radram(
+        app,
+        n_pages,
+        page_bytes=case.page_bytes,
+        functional=True,
+        seed=case.seed,
+        params=wparams,
+        **kwargs,
+    )
+
+
+def _fingerprint(result: RunResult) -> tuple:
+    """What the regimes must agree on, bit for bit."""
+    memory = result.workload.memory
+    image = (
+        {}
+        if memory is None
+        else {b: r.buffer.tobytes() for b, r in memory._regions.items()}
+    )
+    return (
+        result.stats.as_dict(),
+        dict(result.stats.phase_ns),
+        result.total_ns,
+        image,
+    )
+
+
+def _regimes_oracle(
+    app, case: FuzzCase, n_pages: float, wparams, checked: Dict[str, RunResult]
+) -> OracleResult:
+    """Plain runs against the reference, traced, checked and zero-rate
+    faulted runs of the same case."""
+    zero_faults = RADramConfig.reference().with_faults(FaultConfig())
+    mismatches: List[str] = []
+    for system in SYSTEMS:
+        run = functools.partial(_simulate, system, app, case, n_pages, wparams)
+        plain = _fingerprint(run())
+        with per_op_reference():
+            variants = {"per-op reference": _fingerprint(run())}
+        with tracing():
+            variants["traced"] = _fingerprint(run())
+        variants["checked"] = _fingerprint(checked[system])
+        if system == "radram":
+            variants["zero-rate faults"] = _fingerprint(
+                run(radram_config=zero_faults)
+            )
+        mismatches += [
+            f"{system}: {name} run differs"
+            for name, fp in variants.items()
+            if fp != plain
+        ]
+    return OracleResult(
+        ORACLE_REGIMES,
+        ok=not mismatches,
+        detail="; ".join(mismatches) or "bit-identical",
+        metric=float(len(mismatches)),
+    )
+
+
 def run_case(
     case: FuzzCase, tolerance_scale: float = 1.0
 ) -> List[OracleResult]:
-    """Run one candidate under all three oracles; returns all verdicts.
+    """Run one candidate under all four oracles; returns all verdicts.
 
-    One functional run per system suffices: the op streams do not
-    depend on ``functional``, so the same pair of simulations yields
-    sanitizer counts, results for the equivalence check, and the
-    timing statistics the model oracle consumes.
+    One functional checked run per system suffices for three of them:
+    the op streams do not depend on ``functional``, so the same pair
+    of simulations yields sanitizer counts, results for the
+    equivalence check, and the timing statistics the model oracle
+    consumes.  The regimes oracle re-runs each system per regime.
     """
     gen = get_generator(case.generator)
     n_pages, wparams = gen.split(case.params)
@@ -166,38 +257,19 @@ def run_case(
 
     checker_fails: List[str] = []
     strict_error: Optional[str] = None
-    conv = rad = None
-    with checking(strict=False, app=f"{gen.app_name}/conventional") as ck:
-        try:
-            conv = run_conventional(
-                app,
-                n_pages,
-                page_bytes=case.page_bytes,
-                functional=True,
-                seed=case.seed,
-                cap_pages=None,
-                params=wparams,
-            )
-        except CheckError as exc:  # pragma: no cover - strict only
-            strict_error = str(exc)
-    if sum(ck.counts.values()):
-        checker_fails.append(f"conventional: {dict(ck.counts)}")
-    with checking(strict=False, app=f"{gen.app_name}/radram") as ck:
-        try:
-            rad = run_radram(
-                app,
-                n_pages,
-                page_bytes=case.page_bytes,
-                functional=True,
-                seed=case.seed,
-                params=wparams,
-            )
-        except CheckError as exc:  # pragma: no cover - strict only
-            strict_error = str(exc)
-    if sum(ck.counts.values()):
-        checker_fails.append(f"radram: {dict(ck.counts)}")
+    checked: Dict[str, RunResult] = {}
+    for system in SYSTEMS:
+        with checking(strict=False, app=f"{gen.app_name}/{system}") as ck:
+            try:
+                checked[system] = _simulate(system, app, case, n_pages, wparams)
+            except CheckError as exc:  # pragma: no cover - strict only
+                strict_error = str(exc)
+        if sum(ck.counts.values()):
+            checker_fails.append(f"{system}: {dict(ck.counts)}")
     if strict_error is not None:
         checker_fails.append(f"aborted: {strict_error}")
+    conv = checked.get("conventional")
+    rad = checked.get("radram")
 
     results = [
         OracleResult(
@@ -217,7 +289,12 @@ def run_case(
         results.append(
             OracleResult(ORACLE_MODEL, ok=True, detail="run aborted (skipped)")
         )
+        results.append(
+            OracleResult(ORACLE_REGIMES, ok=True, detail="run aborted (skipped)")
+        )
         return results
+
+    results.append(_regimes_oracle(app, case, n_pages, wparams, checked))
 
     try:
         app.check_equivalence(conv.workload, rad.workload)

@@ -1,31 +1,42 @@
-"""Differential suite: the batched executor vs the scalar oracle.
+"""Differential suite: the production executor vs the per-op reference.
 
-The batched regime in :mod:`repro.sim.processor` must be **bit
-identical** to the retained scalar per-op loop — same
+``Processor.run`` fuses straight-line segments; the per-op reference
+(:func:`repro.sim.processor_reference.run_per_op`, ``_step`` plus a
+``poll`` per op) is the oracle it must match **bit for bit** — same
 ``MachineStats.as_dict`` (floats compared exactly, not approximately),
-same per-phase accounting, same final functional memory image.  Every
-test here runs the same op stream twice on fresh machines, once per
-regime (``Processor.batching_enabled`` flips the escape hatch), and
-diffs the snapshots.
+same per-phase accounting, same clock, same final functional memory
+image.  Every test here runs the same op stream on fresh machines, once
+per executor, and diffs the snapshots.  Traced, checked and zero-rate
+faulted runs take the same executor and are held to the same standard,
+plus identical ``cpu``/``cpu.phase``/``page/*``/``check`` trace events
+and identical checker violations.
 
 Hypothesis generates the streams: straight-line segments of
 compute/memory ops interleaved with Activate/WaitPage sync points,
 phase markers, inter-page communication (which parks pages on the
-blocked queue and forces the executor's scalar fallback mid-run), and
-explicit ServicePending polls.
+blocked queue and forces the executor onto per-op stepping mid-run),
+and explicit ServicePending polls.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.check import runtime as check_runtime
 from repro.core.functions import CommRequest, PageTask, Segment
+from repro.faults.models import FaultConfig
 from repro.radram.config import RADramConfig
 from repro.radram.system import RADramMemorySystem
 from repro.sim import ops as O
+from repro.sim.cache import Cache
 from repro.sim.machine import Machine
 from repro.sim.memory import PagedMemory
+from repro.sim.processor import Processor
+from repro.sim.processor_reference import per_op_reference
+from repro.trace import events as trace_events
 
 KB = 1024
 PAGE_BYTES = 4 * KB
@@ -34,8 +45,8 @@ N_PAGES = 6
 DATA_SPAN = N_PAGES * PAGE_BYTES - 512
 
 
-def _radram_machine():
-    cfg = RADramConfig.reference().with_page_bytes(PAGE_BYTES)
+def _radram_machine(faults=None):
+    cfg = RADramConfig.reference().with_page_bytes(PAGE_BYTES).with_faults(faults)
     machine = Machine(
         memory=PagedMemory(page_bytes=PAGE_BYTES),
         memsys=RADramMemorySystem(cfg),
@@ -66,12 +77,13 @@ def _snapshot(machine, stats):
 
 
 def _run_both(ops, machine_factory):
-    """Run ``ops`` under each regime on fresh machines; return snapshots."""
+    """Run ``ops`` on fresh machines, production then the per-op
+    reference; returns both snapshots."""
     snaps = []
-    for batching in (True, False):
+    for reference in (False, True):
         machine, _ = machine_factory()
-        machine.processor.batching_enabled = batching
-        stats = machine.run(iter(ops))
+        with per_op_reference() if reference else contextlib.nullcontext():
+            stats = machine.run(iter(ops))
         snaps.append(_snapshot(machine, stats))
     return snaps
 
@@ -237,34 +249,31 @@ class TestBatchedMatchesScalar:
     @_DIFF_SETTINGS
     @given(ops=radram_streams())
     def test_batched_regime_actually_engages(self, ops):
-        """Guard against a vacuous pass: the gate must pick the batched
-        path for the default machine and the scalar loop for the
-        pinned one."""
-        from repro.sim.processor import Processor
-
+        """Guard against a vacuous pass: production must fuse segments
+        and the reference must not."""
         calls = []
-        orig = Processor._run_batched
+        orig = Processor._flush_segment
 
-        def spy(self, stream):
+        def spy(self, *args):
             calls.append(True)
-            return orig(self, stream)
+            return orig(self, *args)
 
-        Processor._run_batched = spy
+        Processor._flush_segment = spy
         try:
             machine, _ = _radram_machine()
-            machine.run(iter(list(ops)))
-            assert calls, "batched executor never engaged"
+            machine.run(iter([O.Compute(1)] + list(ops)))
+            assert calls, "production run fused no segment"
             calls.clear()
             machine, _ = _radram_machine()
-            machine.processor.batching_enabled = False
-            machine.run(iter(list(ops)))
-            assert not calls, "escape hatch did not pin the scalar loop"
+            with per_op_reference():
+                machine.run(iter(list(ops)))
+            assert not calls, "the per-op reference fused a segment"
         finally:
-            Processor._run_batched = orig
+            Processor._flush_segment = orig
 
 
 class TestRegimeFlip:
-    """Streams engineered to bounce between batched and scalar."""
+    """Streams engineered to bounce between fused and per-op execution."""
 
     def _comm_task(self):
         base = 0x100000
@@ -277,15 +286,15 @@ class TestRegimeFlip:
 
     def test_blocked_pages_force_scalar_fallback_and_recover(self):
         """Comm tasks park pages on the blocked queue: the executor
-        must drop to the per-op scalar loop while service is pending,
-        then resume fusing — with identical accounting throughout."""
+        must step op by op, polling, while service is pending, then
+        resume fusing — with identical accounting throughout."""
         first = 0x100000 // PAGE_BYTES
         ops = []
         for r in range(4):
             for p in range(3):
                 ops.append(O.Activate(first + p, 2, self._comm_task()))
-            # Straight-line work while pages sit blocked: the batched
-            # regime may not skip the polls that service them.
+            # Straight-line work while pages sit blocked: the executor
+            # may not skip the polls that service them.
             for i in range(20):
                 ops.append(O.MemRead(0x100000 + (i * 192) % DATA_SPAN, 128))
                 ops.append(O.Compute(64))
@@ -298,8 +307,9 @@ class TestRegimeFlip:
     @_DIFF_SETTINGS
     @given(flips=st.lists(st.booleans(), min_size=2, max_size=5))
     def test_mid_sequence_regime_flips(self, flips):
-        """Alternate regimes across successive runs of one machine:
-        cache and page state carried between runs must not diverge."""
+        """Alternate production and reference runs on one machine:
+        cache and page state carried between runs must not diverge
+        from a machine that only ever ran the reference."""
         first = 0x100000 // PAGE_BYTES
 
         def chunk(i):
@@ -309,76 +319,154 @@ class TestRegimeFlip:
             ops.append(O.WaitPage(first + (i % N_PAGES)))
             return ops
 
-        machines = [_radram_machine()[0], _radram_machine()[0]]
-        machines[1].processor.batching_enabled = False
-        flipper = machines[0].processor
+        flipper, reference = _radram_machine()[0], _radram_machine()[0]
         for i, flip in enumerate(flips):
-            flipper.batching_enabled = flip
-            for m in machines:
-                m.run(iter(chunk(i)))
-        a = _snapshot(machines[0], machines[0].processor.stats)
-        b = _snapshot(machines[1], machines[1].processor.stats)
+            with per_op_reference() if flip else contextlib.nullcontext():
+                flipper.run(iter(chunk(i)))
+            with per_op_reference():
+                reference.run(iter(chunk(i)))
+        a = _snapshot(flipper, flipper.processor.stats)
+        b = _snapshot(reference, reference.processor.stats)
         _assert_identical(a, b)
 
 
-class TestInstrumentedFallback:
-    """Tracer or sanitizer enabled => the scalar oracle must run."""
+# ----------------------------------------------------------------------
+# Instrumented runs: same executor, same numbers, same observations
 
-    def _ops(self):
+
+#: Trace tracks whose events must equal the per-op reference's exactly;
+#: cache, DRAM and bus events may coarsen to one per fused batch.
+_EXACT_TRACKS = ("cpu", "cpu.phase", "check")
+
+_REGIMES = {
+    "traced": dict(trace=True),
+    "checked": dict(check=True),
+    "zero-rate-faults": dict(faults=True),
+    "all": dict(trace=True, check=True, faults=True),
+}
+
+
+def _observed_run(ops, regime, reference=False, conventional=False):
+    """One run under ``regime``; returns snapshot, exact-track events,
+    checker violations and clock, and the access_lines_batch call count."""
+    opts = _REGIMES[regime]
+    if conventional:
+        machine, _ = _conventional_machine()
+    else:
+        machine, _ = _radram_machine(FaultConfig() if opts.get("faults") else None)
+    batch_calls = []
+    orig = Cache.access_lines_batch
+
+    def spy(self, *args):
+        batch_calls.append(True)
+        return orig(self, *args)
+
+    with contextlib.ExitStack() as stack:
+        tracer = ck = None
+        if opts.get("trace"):
+            tracer = stack.enter_context(trace_events.tracing())
+        if opts.get("check"):
+            ck = stack.enter_context(check_runtime.checking())
+        if reference:
+            stack.enter_context(per_op_reference())
+        Cache.access_lines_batch = spy
+        try:
+            stats = machine.run(iter(ops))
+        finally:
+            Cache.access_lines_batch = orig
+    events = [
+        e
+        for e in (tracer.events() if tracer is not None else [])
+        if e.track in _EXACT_TRACKS or e.track.startswith("page/")
+    ]
+    checked = (list(ck.violations), ck.now) if ck is not None else None
+    return _snapshot(machine, stats), events, checked, len(batch_calls)
+
+
+def _wide_stream():
+    """Fused segments wide enough for ``access_lines_batch`` around
+    activations, a seeded race and phase markers."""
+    first = 0x100000 // PAGE_BYTES
+    ops = [O.BeginPhase("pre")]
+    for i in range(24):
+        ops.append(O.MemRead(0x100000 + i * 640, 256))
+        ops.append(O.Compute(40))
+        ops.append(O.MemWrite(0x100000 + 12 * KB + i * 96, 128))
+    ops.append(O.EndPhase("pre"))
+    ops.append(O.FlushRange(0x100000, N_PAGES * PAGE_BYTES))
+    ops.append(O.BeginPhase("activation"))
+    ops += [O.Activate(first + p, 2, PageTask.simple(300.0)) for p in range(3)]
+    ops.append(O.EndPhase("activation"))
+    ops.append(O.MemWrite(0x100000 + 64, 16))  # races in-flight page 0
+    ops.append(O.Compute(10))
+    ops += [O.WaitPage(first + p) for p in range(3)]
+    for i in range(24):
+        ops.append(O.StridedRead(0x100000 + i * 32, count=8, stride_bytes=512, elem_bytes=4))
+        ops.append(O.Compute(25))
+    return ops
+
+
+class TestInstrumentedRuns:
+    """Tracer, checker and zero-rate faults observe the production
+    executor: the fused cache batch engages, and numbers, trace events
+    and violations equal the per-op reference's."""
+
+    @pytest.mark.parametrize("regime", sorted(_REGIMES))
+    def test_instrumented_run_calls_access_lines_batch(self, regime):
+        snap, events, checked, calls = _observed_run(_wide_stream(), regime)
+        assert calls > 0, f"{regime} run never fused a cache batch"
+        ref, ref_events, ref_checked, ref_calls = _observed_run(
+            _wide_stream(), regime, reference=True
+        )
+        assert ref_calls == 0
+        _assert_identical(snap, ref)
+        assert events == ref_events
+        assert checked == ref_checked
+        if checked is not None:
+            assert [v.detector for v in checked[0]] == ["race"]
+
+    @pytest.mark.parametrize("regime", sorted(_REGIMES))
+    def test_instrumented_run_matches_plain_run(self, regime):
+        plain, _ = _run_both(_wide_stream(), _radram_machine)
+        snap, _, _, _ = _observed_run(_wide_stream(), regime)
+        _assert_identical(snap, plain)
+
+    def test_traced_and_plain_runs_agree(self):
+        """Tracing only observes: a traced run produces the same
+        numbers as the plain run."""
         first = 0x100000 // PAGE_BYTES
         ops = [O.MemRead(0x100000, 512), O.Compute(100)]
         ops.append(O.Activate(first, 2, PageTask.simple(200.0)))
         ops.append(O.WaitPage(first))
-        return ops
-
-    def test_traced_run_uses_scalar_loop(self):
-        from repro.sim.processor import Processor
-        from repro.trace import events as trace_events
-
-        calls = []
-        orig = Processor._run_batched
-        Processor._run_batched = lambda self, stream: calls.append(True) or orig(
-            self, stream
-        )
-        try:
-            machine, _ = _radram_machine()
-            with trace_events.tracing():
-                machine.run(iter(self._ops()))
-            assert not calls, "batched executor ran under a live tracer"
-        finally:
-            Processor._run_batched = orig
-
-    def test_checked_run_uses_scalar_loop(self):
-        from repro.check import runtime as check_runtime
-        from repro.sim.processor import Processor
-
-        calls = []
-        orig = Processor._run_batched
-        Processor._run_batched = lambda self, stream: calls.append(True) or orig(
-            self, stream
-        )
-        try:
-            machine, _ = _radram_machine()
-            with check_runtime.checking():
-                machine.run(iter(self._ops()))
-            assert not calls, "batched executor ran under a live checker"
-        finally:
-            Processor._run_batched = orig
-
-    def test_traced_and_plain_runs_agree(self):
-        """The instrumented scalar fallback still produces the same
-        numbers as the batched run (tracing only observes)."""
-        from repro.trace import events as trace_events
-
         machine, _ = _radram_machine()
-        stats = machine.run(iter(self._ops()))
-        plain = _snapshot(machine, stats)
-
+        plain = _snapshot(machine, machine.run(iter(ops)))
         machine, _ = _radram_machine()
         with trace_events.tracing():
-            stats = machine.run(iter(self._ops()))
-        traced = _snapshot(machine, stats)
+            traced = _snapshot(machine, machine.run(iter(ops)))
         _assert_identical(traced, plain)
+
+    @_DIFF_SETTINGS
+    @given(ops=radram_streams(), regime=st.sampled_from(sorted(_REGIMES)))
+    def test_radram_streams_observed_identically(self, ops, regime):
+        snap, events, checked, _ = _observed_run(ops, regime)
+        ref, ref_events, ref_checked, _ = _observed_run(ops, regime, reference=True)
+        _assert_identical(snap, ref)
+        assert events == ref_events
+        assert checked == ref_checked
+
+    @_DIFF_SETTINGS
+    @given(
+        ops=_straightline(min_size=1, max_size=40),
+        regime=st.sampled_from(["traced", "checked"]),
+    )
+    def test_conventional_streams_observed_identically(self, ops, regime):
+        snap, events, checked, _ = _observed_run(ops, regime, conventional=True)
+        ref, ref_events, ref_checked, _ = _observed_run(
+            ops, regime, reference=True, conventional=True
+        )
+        _assert_identical(snap, ref)
+        assert events == ref_events
+        assert checked == ref_checked
 
 
 class TestPaperApps:
@@ -388,24 +476,13 @@ class TestPaperApps:
     def test_apps_bit_identical(self, system):
         from repro.apps import ALL_APPS
         from repro.experiments.runner import run_conventional, run_radram
-        from repro.sim import processor as processor_mod
 
         runner = run_conventional if system == "conventional" else run_radram
-        orig_init = processor_mod.Processor.__init__
         for name in sorted(ALL_APPS):
             app = ALL_APPS[name]
             res_batched = runner(app, n_pages=2, seed=3)
-
-            def scalar_init(self, *a, **kw):
-                orig_init(self, *a, **kw)
-                self.batching_enabled = False
-
-            processor_mod.Processor.__init__ = scalar_init
-            try:
+            with per_op_reference():
                 res_scalar = runner(app, n_pages=2, seed=3)
-            finally:
-                processor_mod.Processor.__init__ = orig_init
-
             assert res_batched.stats.as_dict() == res_scalar.stats.as_dict(), name
             assert res_batched.stats.phase_ns == res_scalar.stats.phase_ns, name
             assert res_batched.total_ns == res_scalar.total_ns, name

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.experiments import harness
 
 
 class TestCLI:
@@ -155,7 +156,7 @@ class TestSweepCLI:
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert "entries:" in out and "entries:   0" not in out
-        assert "schema 3:" in out
+        assert f"schema {harness.CACHE_SCHEMA}:" in out
         assert "oldest:" in out and "newest:" in out
 
     def test_cache_clear_action(self, capsys, monkeypatch, tmp_path):

@@ -6,7 +6,7 @@ The acceptance contract for ``python -m repro fuzz``:
 * a planted bug (a deliberately broken tolerance) is found, shrunk to
   a minimal parameter point, written as a JSON case file, and the
   file replays to the same failure;
-* a clean tree fuzzes clean across all three oracles.
+* a clean tree fuzzes clean across all four oracles.
 """
 
 import json
@@ -175,7 +175,7 @@ class TestCLI:
         assert rc == 0
 
 
-@pytest.mark.parametrize("oracle", ["checker", "equivalence", "model"])
+@pytest.mark.parametrize("oracle", ["checker", "equivalence", "model", "regimes"])
 def test_every_oracle_reports_on_a_default_case(oracle):
     case = FuzzCase(
         generator="database",
