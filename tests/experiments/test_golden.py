@@ -1,7 +1,7 @@
 """Golden regression fixtures for the reproduced numbers.
 
-Small-size renderings of Figure 3 and Table 4 are checked into
-``tests/data/`` and compared byte-for-byte.  Any refactor of the
+Small-size renderings of Figures 1, 3, 4, 5, 8 and 9 and Tables 2, 3
+and 4 are checked into ``tests/data/`` and compared byte-for-byte.  Any refactor of the
 runner, the sweep harness, or the simulator that silently shifts a
 reproduced number fails here first.
 
@@ -16,18 +16,35 @@ import pathlib
 
 import pytest
 
-from repro.experiments import fig3_speedup, table4_model
+from repro.experiments import (
+    fig1_regions,
+    fig3_speedup,
+    fig4_nonoverlap,
+    fig5_cache,
+    fig8_latency,
+    fig9_logicspeed,
+    table2_partitioning,
+    table3_synthesis,
+    table4_model,
+)
 from repro.experiments.results import ExperimentResult
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 
+APPS = ["array-insert", "database"]
+
 GOLDEN = {
-    "fig3_golden.txt": lambda: fig3_speedup.run(
-        apps=["array-insert", "database"], sweep=[1, 4]
+    "fig1_golden.txt": fig1_regions.run,
+    "fig3_golden.txt": lambda: fig3_speedup.run(apps=APPS, sweep=[1, 4]),
+    "fig4_golden.txt": lambda: fig4_nonoverlap.run(apps=APPS, sweep=[1, 4]),
+    "fig5_golden.txt": lambda: fig5_cache.run(
+        apps=APPS, l1_sweep_kb=[32, 256], n_pages=2
     ),
-    "table4_golden.txt": lambda: table4_model.run(
-        apps=["array-insert", "database"], sweep=[1, 4]
-    ),
+    "fig8_golden.txt": lambda: fig8_latency.run(apps=APPS, latencies_ns=[0, 600]),
+    "fig9_golden.txt": lambda: fig9_logicspeed.run(apps=APPS, divisors=[2, 100]),
+    "table2_golden.txt": table2_partitioning.run,
+    "table3_golden.txt": table3_synthesis.run,
+    "table4_golden.txt": lambda: table4_model.run(apps=APPS, sweep=[1, 4]),
 }
 
 
