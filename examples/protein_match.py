@@ -53,22 +53,6 @@ def main() -> None:
     print(f"for comparison, two unrelated sequences align only "
           f"{100 * lcs_reference(x, y) / n:.0f}%")
 
-    # The full alignment suite: an actual LCS via Hirschberg's
-    # linear-space backtracking, plus global and local alignments.
-    from repro.align import hirschberg_lcs, needleman_wunsch, smith_waterman
-
-    lcs_string = hirschberg_lcs(a[:120], b[:120])
-    print(f"\nactual LCS of the first 120 residues "
-          f"({len(lcs_string)} residues): {lcs_string[:48].decode()}...")
-    nw = needleman_wunsch(a[:60], b[:60])
-    print(f"global alignment (first 60): score {nw.score}, "
-          f"{100 * nw.identity():.0f}% identity")
-    print(f"  {nw.aligned_a[:56].decode()}")
-    print(f"  {nw.aligned_b[:56].decode()}")
-    sw = smith_waterman(a[:200], b[:200])
-    print(f"best local alignment: score {sw.score}, residues "
-          f"{sw.span_a[0]}-{sw.span_a[1]} vs {sw.span_b[0]}-{sw.span_b[1]}")
-
 
 if __name__ == "__main__":
     main()

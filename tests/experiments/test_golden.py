@@ -1,9 +1,9 @@
 """Golden regression fixtures for the reproduced numbers.
 
 Small-size renderings of Figures 1, 3, 4, 5, 8 and 9 and Tables 2, 3
-and 4 are checked into ``tests/data/`` and compared byte-for-byte.  Any refactor of the
-runner, the sweep harness, or the simulator that silently shifts a
-reproduced number fails here first.
+and 4 are checked into ``tests/data/`` and compared byte-for-byte.
+Any refactor of the runner, the sweep harness, or the simulator that
+silently shifts a reproduced number fails here first.
 
 Volatile ``harness:`` notes (cache-hit counters, wall time) are
 stripped before comparison; everything else — values, formatting,
