@@ -76,11 +76,14 @@ exceeds the actual work, so ``access_lines`` drops into a dict-based
 scalar walk instead: each set becomes an ``OrderedDict`` mapping tag to
 dirty bit whose iteration order *is* the LRU order (LRU first).  The
 dict state is materialized lazily from the matrices on the first
-scalar access and flushed back on the next wide batch, so uniform
-workloads — an app trace of 16-line block ops, or a microbenchmark of
-megabyte scans — pay for at most one conversion each way.  Both
-regimes implement the identical state machine; the differential suite
-drives them against the scalar reference with mixed batch sizes.
+scalar access and flushed back on the next wide batch.  Flips are
+common — every fresh machine enters the dict regime and RADram's short
+stretches between sync points re-enter it (hostbench serve-mixed, 336
+tasks: 562 conversions in, 56 back; fig3-radram, 112 points: 252 in,
+56 back) — so both directions touch only the occupied sets, and an
+empty set gets its dict on first touch.  Both regimes implement the
+identical state machine; the differential suite drives them against
+the scalar reference with mixed batch sizes.
 """
 
 from __future__ import annotations
@@ -162,8 +165,10 @@ class Cache:
         self._occ = np.zeros(n_sets, dtype=np.int64)
         self._clock = 1  # stamp 0 is reserved for invalid ways
         # Scalar-regime state: per-set OrderedDict(tag -> dirty), LRU
-        # first.  None means the matrices are authoritative.
-        self._scalar_sets: Optional[List[OrderedDict]] = None
+        # first, None for a set still empty since entry (the live list
+        # names the rest).  None means the matrices are authoritative.
+        self._scalar_sets: Optional[List[Optional[OrderedDict]]] = None
+        self._scalar_live: List[int] = []
 
     # ------------------------------------------------------------------
     # Public scalar interface — the small-batch regime
@@ -178,15 +183,16 @@ class Cache:
     def _ensure_lists(self) -> None:
         """Materialize the per-set LRU dicts from the matrix state.
 
-        Each set becomes ``OrderedDict(tag -> dirty)`` iterating LRU
-        first; dict order replaces stamps entirely in this regime.  The
-        matrices go stale until :meth:`_flush_lists` rebuilds them.
+        Each occupied set becomes ``OrderedDict(tag -> dirty)`` iterating
+        LRU first (empty sets get one on first touch); dict order
+        replaces stamps entirely in this regime.  The matrices go stale
+        until :meth:`_flush_lists` rebuilds them.
         """
         if self._scalar_sets is not None:
             return
-        sets = [OrderedDict() for _ in range(self._n_sets)]
-        if self._occ.any():
-            occupied = np.nonzero(self._occ)[0]
+        sets: List[Optional[OrderedDict]] = [None] * self._n_sets
+        occupied = np.flatnonzero(self._occ)
+        if occupied.shape[0]:
             tag_rows = self._tag[occupied]
             stamp_rows = np.where(tag_rows == -1, _STAMP_MAX, self._stamp[occupied])
             order = np.argsort(stamp_rows, axis=1)
@@ -194,41 +200,40 @@ class Cache:
             dirty = np.take_along_axis(self._dirty[occupied], order, axis=1).tolist()
             occs = self._occ[occupied].tolist()
             for s, trow, drow, k in zip(occupied.tolist(), tags, dirty, occs):
-                od = sets[s]
-                for t, d in zip(trow[:k], drow[:k]):
-                    od[t] = d
+                sets[s] = OrderedDict(zip(trow[:k], drow[:k]))
         self._scalar_sets = sets
+        self._scalar_live = occupied.tolist()
 
     def _flush_lists(self) -> None:
         """Write the scalar dicts back into the matrices.
 
-        Stamps are renumbered ``1..k`` per set (with the clock bumped
-        past them): only the *within-set relative* order is observable
-        through LRU decisions, so renumbering preserves behaviour.
+        Only materialized sets are written: the rest were empty on
+        entry and untouched since.  Stamps are renumbered ``1..k`` per
+        set (with the clock bumped past them): only the *within-set
+        relative* order is observable through LRU decisions, so
+        renumbering preserves behaviour.
         """
         sets = self._scalar_sets
         if sets is None:
             return
         self._scalar_sets = None
         assoc = self._assoc
-        self._tag.fill(-1)
-        self._stamp.fill(0)
-        self._dirty.fill(False)
+        live = self._scalar_live
+        rows = np.array(live, dtype=np.int64)
+        self._tag[rows] = -1
+        self._stamp[rows] = 0
+        self._dirty[rows] = False
+        self._occ[rows] = [len(sets[s]) for s in live]
         idx: List[int] = []
         tags: List[int] = []
         dirt: List[bool] = []
-        occ = self._occ
-        for s, od in enumerate(sets):
-            k = len(od)
-            occ[s] = k
-            if k:
-                base = s * assoc
-                i = base
-                for t, d in od.items():
-                    idx.append(i)
-                    tags.append(t)
-                    dirt.append(d)
-                    i += 1
+        for s in live:
+            i = s * assoc
+            for t, d in sets[s].items():
+                idx.append(i)
+                tags.append(t)
+                dirt.append(d)
+                i += 1
         if idx:
             ia = np.array(idx, dtype=np.int64)
             self._tag.reshape(-1)[ia] = tags
@@ -249,6 +254,9 @@ class Cache:
         n_sets = self._n_sets
         s = line_addr % n_sets
         od = sets[s]
+        if od is None:  # first touch of a set empty on entry
+            od = sets[s] = OrderedDict()
+            self._scalar_live.append(s)
         t = line_addr // n_sets
         if t in od:
             self.stats.hits += 1
@@ -296,6 +304,9 @@ class Cache:
         n_sets = self._n_sets
         s = line_addr % n_sets
         od = sets[s]
+        if od is None:  # first touch of a set empty on entry
+            od = sets[s] = OrderedDict()
+            self._scalar_live.append(s)
         t = line_addr // n_sets
         if t in od:
             od.move_to_end(t)
@@ -430,12 +441,12 @@ class Cache:
         n_sets = self._n_sets
         tag, set_idx = np.divmod(addrs, n_sets)
 
-        match = self._tag[set_idx] == tag[:, None]  # (n, assoc)
-        hit = match.any(axis=1)
+        way = _way_of(self._tag, set_idx, tag)
+        hit = way >= 0
         demand = kinds != _INSTALL
 
         if hit.all():
-            return self._apply_all_hits(addrs, set_idx, kinds, match, demand)
+            return self._apply_all_hits(addrs, set_idx, kinds, way, demand)
 
         if demand.all() and not hit.any() and _all_distinct(addrs):
             return self._apply_cold_distinct(addrs, set_idx, tag, kinds)
@@ -449,12 +460,11 @@ class Cache:
         addrs: np.ndarray,
         set_idx: np.ndarray,
         kinds: np.ndarray,
-        match: np.ndarray,
+        way: np.ndarray,
         demand: np.ndarray,
     ) -> np.ndarray:
         """Hits never evict, so pre-state membership is the decision."""
         n = addrs.shape[0]
-        way = np.argmax(match, axis=1)
         flat = set_idx * self._assoc + way
         stamps = self._clock + np.arange(n, dtype=np.int64)
         if _all_distinct(addrs):
@@ -496,7 +506,7 @@ class Cache:
         assoc = self._assoc
         n_sets = self._n_sets
 
-        order = np.argsort(set_idx, kind="stable")
+        order = _set_order(set_idx, n_sets)
         s_sorted = set_idx[order]
         tag_sorted = tag[order]
         w_sorted = (kinds == _WRITE)[order]
@@ -605,7 +615,7 @@ class Cache:
         assoc = self._assoc
         n_sets = self._n_sets
 
-        order = np.argsort(set_idx, kind="stable")
+        order = _set_order(set_idx, n_sets)
         s_sorted = set_idx[order]
         start, counts, uniq = _group_sorted(s_sorted)
         m = uniq.shape[0]
@@ -816,13 +826,12 @@ class Cache:
             o = order[p]
             demand = kd != _INSTALL
 
-            Tw = T[:width]
-            match = Tw == t[:, None]
-            hit = match.any(axis=1)
+            way_all = _way_of(T, slice(0, width), t)
+            hit = way_all >= 0
 
             h_rows = np.flatnonzero(hit)
             if h_rows.shape[0]:
-                way = match[h_rows].argmax(axis=1)
+                way = way_all[h_rows]
                 S[h_rows, way] = clock + j
                 dirtying = kd[h_rows] != _READ
                 if dirtying.any():
@@ -833,9 +842,9 @@ class Cache:
 
             mi_rows = np.flatnonzero(~hit)
             if mi_rows.shape[0]:
-                # Invalid ways carry stamp 0 < any live stamp, so one
-                # argmin picks a free way if present, else the true LRU.
-                vway = S[mi_rows].argmin(axis=1)
+                # Invalid ways carry stamp 0 < any live stamp, so the
+                # first minimum is a free way if present, else the LRU.
+                vway = _lru_way(S, mi_rows)
                 vtag = T[mi_rows, vway]
                 vdirty = D[mi_rows, vway] & (vtag != -1)
                 dm = demand[mi_rows]
@@ -984,7 +993,7 @@ class Cache:
         s = line_addr % self._n_sets
         t = line_addr // self._n_sets
         if self._scalar_sets is not None:
-            return t in self._scalar_sets[s]
+            return t in (self._scalar_sets[s] or ())
         return bool((self._tag[s] == t).any())
 
     def dirty_lines_in(self, lo_line: int, hi_line: int) -> List[int]:
@@ -996,8 +1005,8 @@ class Cache:
         n_sets = self._n_sets
         out: List[int] = []
         if self._scalar_sets is not None:
-            for s, od in enumerate(self._scalar_sets):
-                for t, d in od.items():
+            for s in self._scalar_live:
+                for t, d in self._scalar_sets[s].items():
                     if d:
                         line = t * n_sets + s
                         if lo_line <= line <= hi_line:
@@ -1059,9 +1068,8 @@ class Cache:
                             stats.writebacks += 1
                             total += writeback(t * n_sets + s)
             else:
-                for s, od in enumerate(sets):
-                    if not od:
-                        continue
+                for s in sorted(self._scalar_live):
+                    od = sets[s]
                     doomed = [
                         t for t in od if lo_line <= t * n_sets + s <= hi_line
                     ]
@@ -1109,7 +1117,7 @@ class Cache:
     def lru_contents(self, set_idx: int) -> List[Tuple[int, bool]]:
         """``[(line_addr, dirty), ...]`` of one set, MRU first."""
         if self._scalar_sets is not None:
-            od = self._scalar_sets[set_idx]
+            od = self._scalar_sets[set_idx] or {}
             return [
                 (t * self._n_sets + set_idx, bool(d))
                 for t, d in reversed(od.items())
@@ -1136,7 +1144,8 @@ class Cache:
     def resident_lines(self) -> int:
         """Number of lines currently cached."""
         if self._scalar_sets is not None:
-            return sum(len(od) for od in self._scalar_sets)
+            sets = self._scalar_sets
+            return sum(len(sets[s]) for s in self._scalar_live)
         return int(self._occ.sum())
 
     def reset_stats(self) -> None:
@@ -1192,6 +1201,38 @@ def _last_occurrence_positions(flat: np.ndarray) -> np.ndarray:
     rev = flat[::-1]
     _, first_in_rev = np.unique(rev, return_index=True)
     return flat.shape[0] - 1 - first_in_rev
+
+
+def _way_of(tagm: np.ndarray, rows, tag: np.ndarray) -> np.ndarray:
+    """Way of ``tagm[rows]`` (index array or slice) holding ``tag``, -1
+    where absent.  One compare per way column (assoc is 1-8) instead of
+    an ``(n, assoc)`` match matrix and its short-axis reductions; the
+    lowest matching way wins, as ``argmax`` picks."""
+    way = np.full(tag.shape[0], -1, dtype=np.int64)
+    for w in range(tagm.shape[1] - 1, -1, -1):
+        way[tagm[:, w][rows] == tag] = w
+    return way
+
+
+def _lru_way(stampm: np.ndarray, rows) -> np.ndarray:
+    """First way with the smallest stamp in each of ``stampm[rows]``,
+    one pass per way column.  ``argmin``'s tie rule: invalid ways all
+    carry stamp 0, so the lowest-indexed invalid way is the victim."""
+    best = stampm[:, 0][rows]
+    way = np.zeros(best.shape[0], dtype=np.int64)
+    for w in range(1, stampm.shape[1]):
+        col = stampm[:, w][rows]
+        way[col < best] = w  # strict: a tie keeps the lower way
+        best = np.minimum(best, col)
+    return way
+
+
+def _set_order(set_idx: np.ndarray, n_sets: int) -> np.ndarray:
+    """Stable argsort of set indices; a ``uint16`` key (up to 65,536
+    sets) takes numpy's radix sort, several times faster than int64's."""
+    if n_sets <= 1 << 16:
+        set_idx = set_idx.astype(np.uint16)
+    return np.argsort(set_idx, kind="stable")
 
 
 def _group_sorted(s_sorted: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
