@@ -185,20 +185,6 @@ class Application(abc.ABC):
     # ------------------------------------------------------------------
     # Shared stream helpers
 
-    @staticmethod
-    def _stream_block(
-        addr: int, nbytes: int, write: bool, chunk: int = 1 << 16
-    ) -> Iterator[O.Op]:
-        """Sequential access split into bounded chunks."""
-        offset = 0
-        while offset < nbytes:
-            size = min(chunk, nbytes - offset)
-            if write:
-                yield O.MemWrite(addr + offset, size)
-            else:
-                yield O.MemRead(addr + offset, size)
-            offset += size
-
     def activate_page(
         self, page_no: int, task, descriptor_words: Optional[int] = None
     ) -> Iterator[O.Op]:

@@ -79,27 +79,6 @@ class _MatrixAppBase(Application):
     ) -> List[SparseVectorPair]:
         raise NotImplementedError
 
-    def _expected_sizes(
-        self,
-        n_pairs: int,
-        seed: int,
-        params: Optional[Mapping[str, float]] = None,
-    ) -> List[dict]:
-        """Per-pair (nnz_a, nnz_b, matches) without building arrays.
-
-        Timing-only workloads need deterministic sizes; building the
-        pairs and summarizing them keeps one source of truth, and pair
-        construction is cheap relative to simulation.
-        """
-        return [
-            {
-                "na": len(p.idx_a),
-                "nb": len(p.idx_b),
-                "m": len(p.matches()),
-            }
-            for p in self._make_pairs(n_pairs, seed, params)
-        ]
-
     def workload(
         self,
         n_pages: float,

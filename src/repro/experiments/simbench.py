@@ -520,14 +520,9 @@ def _run_processor_step(batching: bool) -> float:
     return _timed_run(_conventional_machine(), _processor_step_ops(), batching)
 
 
-def _run_dispatch_batch(batching: bool) -> float:
-    return _timed_run(_dispatch_machine(None), _dispatch_ops(), batching)
-
-
 #: name -> (runner taking ``batching: bool``, op count for context).
 BATCH_WORKLOADS: Dict[str, Tuple[Callable[[bool], float], int]] = {
     "processor_step_100k": (_run_processor_step, 100_000),
-    "dispatch_batch_2k": (_run_dispatch_batch, 4096),
 }
 
 

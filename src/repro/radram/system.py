@@ -23,9 +23,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.faults.controller import FaultController
 from repro.radram.config import RADramConfig
-from repro.radram.dispatch import activation_ns, descriptor_bytes
+from repro.radram.dispatch import activation_ns
 from repro.radram.interpage import service_ns
-from repro.radram.subarray import PageExecution, Subarray
+from repro.radram.subarray import Subarray
 from repro.check import runtime as _check
 from repro.sim import ops as O
 from repro.sim.errors import FaultError, OperationError
@@ -137,145 +137,36 @@ class RADramMemorySystem(MemorySystemBase):
             self._note_blocked(execution, op.page_no)
 
     def handle_activate_batch(self, ops, proc: Processor) -> int:
-        """Dispatch a run of Activates (+ phase markers) without the
-        per-op interpreter overhead.
+        """Dispatch a run of Activates (+ phase markers) in order.
 
         The processor calls this only with tracer and sanitizer off;
-        with a fault controller attached every op goes to
-        :meth:`handle_activate`, which carries the fault hooks.
-        Otherwise the per-activation work reduces to the dispatch-cost
-        formula, the stats/clock charges and the subarray start.  The
-        cost expression reuses the exact integer/float operation order
-        of :func:`repro.radram.dispatch.activation_ns`, so charges are
-        bit-identical to the per-op path.  Stops (returning the count
-        consumed) as soon as an activation blocks on a
-        processor-mediated reference, handing control back to the
-        processor's per-op loop.
+        each activation goes through :meth:`handle_activate`.  Returns
+        the number of ops consumed: it stops as soon as one leaves a
+        page queued for processor-mediated service, and the processor
+        finishes the run per op.
         """
-        if self.faults is not None:
-            return super().handle_activate_batch(ops, proc)
-        mconfig = self.machine.config
-        per_word = mconfig.dram.miss_latency_ns + mconfig.bus.transfer_ns(4)
-        base = self.config.activation_base_ns
-        bus = self.machine.bus
-        config = self.config
-        subarrays = self.subarrays
-        stats = proc.stats
-        sd = stats.__dict__
-        stack = stats._phase_stack
-        phase_ns = stats.phase_ns
-        blocked = self._blocked
-        Activate = O.Activate
-        BeginPhase = O.BeginPhase
-        # Streams overwhelmingly reuse one descriptor size: memoize the
-        # (nbytes, cost, bus duration) triple for the last size seen.
-        memo_words = None
-        nbytes = 0
-        cost = 0.0
-        bus_ns = 0.0
-        transfer_ns = self.machine.config.bus.transfer_ns
-        consumed = 0
-        for op in ops:
-            cls = op.__class__
-            if cls is Activate:
-                if op.task is None:
-                    raise OperationError("Activate op carries no page task")
-                words = op.descriptor_words
-                if words != memo_words:
-                    nbytes = descriptor_bytes(words)  # validates >= 0
-                    cost = base + (nbytes // 4) * per_word
-                    if cost < 0:
-                        raise OperationError("cannot charge negative time")
-                    bus_ns = transfer_ns(nbytes) if nbytes > 0 else 0.0
-                    memo_words = words
-                stats.activations += 1
-                proc.now = now = proc.now + cost
-                sd["activation_ns"] += cost
-                if stack:
-                    p = stack[-1]
-                    phase_ns[p] = phase_ns.get(p, 0.0) + cost
-                if nbytes > 0:
-                    # Inline Bus.transfer (tracer is off by precondition);
-                    # the busy accumulation stays sequential, so counters
-                    # match the per-op path bit-for-bit.
-                    bus.bytes_transferred += nbytes
-                    bus.busy_ns += bus_ns
-                    bus.transfers += 1
-                sub = subarrays.get(op.page_no)
-                if sub is None:
-                    sub = Subarray(op.page_no, config)
-                    subarrays[op.page_no] = sub
-                execution = sub.start(op.task, now)
-                consumed += 1
-                if execution.blocked_on is not None:
-                    self._note_blocked(execution, op.page_no)
-                    if blocked:
-                        return consumed
-                continue
-            if cls is BeginPhase:
-                stats.begin_phase(op.name)
-            else:
-                stats.end_phase(op.name)
-            consumed += 1
-        return consumed
+        return self._handle_run(ops, proc, self.handle_activate)
 
     def handle_wait_batch(self, ops, proc: Processor) -> int:
-        """Retire a run of WaitPage ops (+ phase markers).
+        """Retire a run of WaitPages (+ phase markers) in order, each
+        through :meth:`handle_wait`; stops as
+        :meth:`handle_activate_batch` does."""
+        return self._handle_run(ops, proc, self.handle_wait)
 
-        Preconditions and the fault hand-off as for
-        :meth:`handle_activate_batch`.  A page that ran to completion
-        unblocked — the common case — needs only the completion-time
-        stall; anything blocked goes through :meth:`handle_wait`, and
-        the batch stops once service work is left pending.
-        """
-        if self.faults is not None:
-            return super().handle_wait_batch(ops, proc)
-        subarrays = self.subarrays
+    def _handle_run(self, ops, proc: Processor, handle) -> int:
         stats = proc.stats
-        sd = stats.__dict__
-        stack = stats._phase_stack
-        phase_ns = stats.phase_ns
-        phase_wait_ns = stats.phase_wait_ns
-        blocked = self._blocked
-        WaitPage = O.WaitPage
         consumed = 0
         for op in ops:
             cls = op.__class__
-            if cls is WaitPage:
-                sub = subarrays.get(op.page_no)
-                consumed += 1
-                if sub is None or sub.current is None:
-                    continue  # nothing outstanding on this page
-                execution = sub.current
-                if execution.blocked_on is None and not execution._segments:
-                    # Inline stall_until(completion_ns): one wait
-                    # charge, with its phase attribution.
-                    when = execution.t_ns
-                    now = proc.now
-                    if when > now:
-                        stats.waits += 1
-                        delta = when - now
-                        # charge() folds as ``start + ns`` — and
-                        # ``now + (when - now) != when`` in floats, so
-                        # assigning ``when`` directly drifts by an ulp.
-                        proc.now = now + delta
-                        sd["wait_ns"] += delta
-                        if stack:
-                            p = stack[-1]
-                            phase_ns[p] = phase_ns.get(p, 0.0) + delta
-                            phase_wait_ns[p] = (
-                                phase_wait_ns.get(p, 0.0) + delta
-                            )
-                else:
-                    self.handle_wait(op, proc)
-                    if blocked:
-                        return consumed
-                continue
+            consumed += 1
             if cls is O.BeginPhase:
                 stats.begin_phase(op.name)
-            else:
+            elif cls is O.EndPhase:
                 stats.end_phase(op.name)
-            consumed += 1
+            else:
+                handle(op, proc)
+                if self._blocked:
+                    break
         return consumed
 
     def _note_blocked(self, execution, page_no: int) -> None:

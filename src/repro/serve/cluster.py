@@ -486,8 +486,6 @@ def shard_argv(args, index: int, n_shards: int) -> List[str]:
         argv.append("--no-cache")
     if args.cache_dir:
         argv += ["--cache-dir", args.cache_dir]
-    if args.no_journal:
-        argv.append("--no-journal")
     return argv
 
 

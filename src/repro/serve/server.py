@@ -122,8 +122,6 @@ class ServeConfig:
     #: seconds a subscriber may stall (unread backpressure) before the
     #: server disconnects it rather than wedge the fan-out.
     subscriber_stall_s: float = 30.0
-    #: write-ahead job journals under ``<cache>/jobs/``.
-    use_journal: bool = True
     #: cluster size this process is one shard of (1 = standalone).
     shards: int = 1
     #: this process's shard slot (``None`` outside cluster mode; with
@@ -383,11 +381,7 @@ class SweepServer:
         self.jobs_by_key: Dict[str, Job] = {}
         self.jobs_by_id: Dict[str, Job] = {}
         self._finished_ids: Deque[str] = deque()
-        self.journals: Optional[JournalStore] = (
-            JournalStore(config.resolve_journal_dir())
-            if config.use_journal
-            else None
-        )
+        self.journals = JournalStore(config.resolve_journal_dir())
         self.recovered_jobs = 0
         self.active = 0
         self.draining = False
@@ -495,8 +489,6 @@ class SweepServer:
         lease expires, to whichever peer wins the fenced takeover
         (:meth:`_check_takeovers`).
         """
-        if self.journals is None:
-            return 0
         assert self._loop is not None and self._wake is not None
         me = self.config.resolved_shard_index()
         recovered = 0
@@ -536,7 +528,6 @@ class SweepServer:
         numbering so replayed and re-run events never share a seq.
         Duplicate keys are closed out as superseded instead.
         """
-        assert self.journals is not None
         assert self._loop is not None and self._wake is not None
         if job_id in self.jobs_by_id:
             return None  # already live here
@@ -596,7 +587,6 @@ class SweepServer:
 
     def _close_superseded(self, job_id: str, summary: Dict[str, object]) -> None:
         """Finish a duplicate incomplete journal so it becomes prunable."""
-        assert self.journals is not None
         try:
             jnl, _records = self.journals.open_existing(job_id)
             if self.cluster is not None:
@@ -655,7 +645,7 @@ class SweepServer:
         stays dead (or never started) costs a few lease-file reads per
         tick, not a directory walk.
         """
-        if self.cluster is None or self.journals is None:
+        if self.cluster is None:
             return
         dead = self.cluster.dead_slots()
         if not dead:
@@ -1029,21 +1019,20 @@ class SweepServer:
                 "recovered": job.recovered,
                 "live": True,
             }
-        if self.journals is not None:
-            records = self.journals.read(job_id)
-            if records:
-                summary = journal_mod.job_summary(records)
-                return 200, {
-                    "job": job_id,
-                    "key": summary["key"],
-                    "kind": summary["kind"],
-                    "tenant": summary["tenant"],
-                    "status": "done" if summary["done"] else "recoverable",
-                    "ok": summary["ok"],
-                    "seq": summary["seq"],
-                    "events": summary["events"],
-                    "live": False,
-                }
+        records = self.journals.read(job_id)
+        if records:
+            summary = journal_mod.job_summary(records)
+            return 200, {
+                "job": job_id,
+                "key": summary["key"],
+                "kind": summary["kind"],
+                "tenant": summary["tenant"],
+                "status": "done" if summary["done"] else "recoverable",
+                "ok": summary["ok"],
+                "seq": summary["seq"],
+                "events": summary["events"],
+                "live": False,
+            }
         return 404, {"error": f"unknown job {job_id}"}
 
     def metrics_snapshot(self) -> Dict[str, float]:
@@ -1206,33 +1195,32 @@ class SweepServer:
         assert self._loop is not None and self._wake is not None
         job_id = f"{key[:16]}-{os.urandom(4).hex()}"
         jnl: Optional[journal_mod.JobJournal] = None
-        if self.journals is not None:
-            try:
-                while jnl is None:
-                    try:
-                        jnl = self.journals.create(job_id)
-                    except FileExistsError:
-                        job_id = f"{key[:16]}-{os.urandom(4).hex()}"
-                if self.cluster is not None:
-                    jnl.fence = self.cluster.check_fence
-                record: Dict[str, object] = {
-                    "type": "request",
-                    "job": job_id,
-                    "key": key,
-                    "kind": request.kind,
-                    "tenant": request.tenant,
-                    "spec": request.spec,
-                    "created_at": time.time(),
-                }
-                if self.cluster is not None:
-                    # The admitting slot/epoch: the coordinates dead-peer
-                    # takeover and lease-aware prune key off.
-                    record["shard"] = self.cluster.shard_index
-                    record["epoch"] = self.cluster.epoch
-                jnl.append(record)
-            except (OSError, JournalError):
-                jnl = None  # degrade to in-memory-only; the job still runs
-                self.serve_ns.counter("journal_errors").add()
+        try:
+            while jnl is None:
+                try:
+                    jnl = self.journals.create(job_id)
+                except FileExistsError:
+                    job_id = f"{key[:16]}-{os.urandom(4).hex()}"
+            if self.cluster is not None:
+                jnl.fence = self.cluster.check_fence
+            record: Dict[str, object] = {
+                "type": "request",
+                "job": job_id,
+                "key": key,
+                "kind": request.kind,
+                "tenant": request.tenant,
+                "spec": request.spec,
+                "created_at": time.time(),
+            }
+            if self.cluster is not None:
+                # The admitting slot/epoch: the coordinates dead-peer
+                # takeover and lease-aware prune key off.
+                record["shard"] = self.cluster.shard_index
+                record["epoch"] = self.cluster.epoch
+            jnl.append(record)
+        except (OSError, JournalError):
+            jnl = None  # degrade to in-memory-only; the job still runs
+            self.serve_ns.counter("journal_errors").add()
         job = Job(key, request, self._loop, job_id=job_id, journal=jnl)
         self._wire_cluster_hooks(job)
         self.jobs_by_key[key] = job
@@ -1284,7 +1272,7 @@ class SweepServer:
             return
 
         # Not live: replay straight from the journal on disk.
-        records = self.journals.read(job_id) if self.journals is not None else []
+        records = self.journals.read(job_id)
         if not records:
             writer.write(
                 protocol.json_response(404, {"error": f"unknown job {job_id}"})
@@ -1617,7 +1605,6 @@ def build_config(args: argparse.Namespace) -> ServeConfig:
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         heartbeat_s=args.heartbeat,
-        use_journal=not args.no_journal,
         shards=getattr(args, "shards", 1) or 1,
         shard_index=getattr(args, "shard_index", None),
         lease_ttl_s=getattr(args, "lease_ttl", None)
@@ -1654,10 +1641,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--heartbeat", type=float, default=10.0, metavar="S",
         help="idle-stream heartbeat interval (<= 0 disables)",
-    )
-    parser.add_argument(
-        "--no-journal", action="store_true",
-        help="disable the durable job journal (no crash recovery/resume)",
     )
     parser.add_argument(
         "--cluster", type=int, default=None, metavar="N",

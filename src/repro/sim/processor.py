@@ -47,8 +47,9 @@ Instrumentation observes the same executor:
   between, ``on_op`` could only move the checker's clock hint, which
   the replay sets to each op's start time;
 * with a tracer or checker live, ``Activate``/``WaitPage`` runs go
-  through ``_step`` per op; with a fault controller attached the
-  memory system's batch handlers hand each op to its per-op handler.
+  through ``_step`` per op; otherwise they go to the memory system's
+  batch hooks, which on RADram hand each op to the same per-op
+  handlers ``_step`` calls, fault controller or not.
 """
 
 from __future__ import annotations
@@ -118,29 +119,14 @@ class MemorySystemBase:
     # interleaved, to be applied strictly in order.  Both return the
     # number of ops consumed — a handler stops early (and the executor
     # finishes the rest per op) as soon as one leaves service work
-    # pending.  The defaults hand every op to the per-op handler.
+    # pending.  Like their per-op siblings, the defaults reject Active
+    # Pages.
 
     def handle_activate_batch(self, ops: List[O.Op], proc: "Processor") -> int:
-        return self._per_op_batch(ops, proc, self.handle_activate)
+        raise OperationError("this memory system does not support Active Pages")
 
     def handle_wait_batch(self, ops: List[O.Op], proc: "Processor") -> int:
-        return self._per_op_batch(ops, proc, self.handle_wait)
-
-    def _per_op_batch(self, ops: List[O.Op], proc: "Processor", handle) -> int:
-        stats = proc.stats
-        consumed = 0
-        for op in ops:
-            cls = op.__class__
-            consumed += 1
-            if cls is O.BeginPhase:
-                stats.begin_phase(op.name)
-            elif cls is O.EndPhase:
-                stats.end_phase(op.name)
-            else:
-                handle(op, proc)
-                if self.needs_poll and self.has_pending_service():
-                    break
-        return consumed
+        raise OperationError("this memory system does not support Active Pages")
 
 
 class Processor:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.harness import SweepTask, speedup_task
 from repro.sim.memory import DEFAULT_PAGE_BYTES
@@ -216,6 +216,3 @@ def get_generator(name: str) -> Generator:
             f"unknown generator {name!r}; available: {sorted(GENERATORS)}"
         ) from None
 
-
-def generator_names() -> List[str]:
-    return sorted(GENERATORS)

@@ -162,3 +162,57 @@ class TestLogicSpeedScaling:
         machine.reset_timing()
         assert memsys.subarrays == {}
         assert memsys.comm_bytes == 0
+
+
+class TestOneDispatchPath:
+    """``handle_activate`` and ``handle_wait`` are the only code that
+    dispatches an activation or retires a wait: plain runs (through the
+    batch hooks), traced runs (through ``_step``) and zero-rate faulted
+    runs must each hand them every Activate and WaitPage, in order."""
+
+    @staticmethod
+    def _stream():
+        base = 0x1000_0000
+        first = base // 4096
+        comm = PageTask.of(
+            [
+                Segment(40, CommRequest(nbytes=64, src_vaddr=base, dst_vaddr=base + 8192)),
+                Segment(20),
+            ]
+        )
+        ops = [O.BeginPhase("dispatch")]
+        for r in range(3):
+            ops += [O.Activate(first + p, 1 + p, PageTask.simple(200)) for p in range(4)]
+            ops.append(O.Activate(first + 4, 2, comm))  # blocks: per-op stretch
+            ops.append(O.EndPhase("dispatch") if r == 2 else O.Compute(30))
+            ops += [O.WaitPage(first + p) for p in range(5)]
+            ops.append(O.MemRead(base + 64 * r, 128))
+        return ops
+
+    @pytest.mark.parametrize("regime", ["plain", "traced", "zero-rate-faults"])
+    def test_every_sync_op_reaches_the_per_op_handlers(self, regime, monkeypatch):
+        from repro.faults.models import FaultConfig
+        from repro.trace import events as trace_events
+
+        faults = FaultConfig() if regime == "zero-rate-faults" else None
+        cfg = RADramConfig.reference().with_page_bytes(4096).with_faults(faults)
+        machine, _ = make_machine(cfg)
+        seen = []
+        for name in ("handle_activate", "handle_wait"):
+            orig = getattr(RADramMemorySystem, name)
+
+            def spy(self, op, proc, _orig=orig):
+                seen.append(op)
+                return _orig(self, op, proc)
+
+            monkeypatch.setattr(RADramMemorySystem, name, spy)
+        ops = self._stream()
+        if regime == "traced":
+            with trace_events.tracing():
+                stats = machine.run(iter(ops))
+        else:
+            stats = machine.run(iter(ops))
+        expected = [op for op in ops if isinstance(op, (O.Activate, O.WaitPage))]
+        assert [id(op) for op in seen] == [id(op) for op in expected]
+        assert stats.activations == 15
+        assert stats.interrupts > 0

@@ -124,25 +124,13 @@ class TestResume:
         jnl.append({"type": "event", "seq": 1,
                     "event": {"event": "queued", "seq": 1}})
         jnl.close()
-        server = serve_factory(use_journal=False)  # no recovery, journal stays dead
 
-        # With journaling off the server can't see the file at all.
-        with pytest.raises(client.ServerError) as info:
-            list(
-                client.stream_submit(
-                    server.base_url,
-                    {"kind": "resume", "job": "9" * 16 + "-01234567", "after_seq": 0},
-                    timeout=30,
-                )
-            )
-        assert info.value.status == 404
-
-        # With it on, the job is known — recovered live or replayed
-        # from disk — and the stream always reaches a done event.
-        server2 = serve_factory()
+        # The job is known — recovered live or replayed from disk — and
+        # the stream always reaches a done event.
+        server = serve_factory()
         events = list(
             client.stream_submit(
-                server2.base_url,
+                server.base_url,
                 {"kind": "resume", "job": "9" * 16 + "-01234567", "after_seq": 0},
                 timeout=30,
             )
@@ -277,20 +265,15 @@ class TestJobStatus:
         jnl.append({"type": "request", "job": "7" * 16 + "-aa", "kind": "app",
                     "tenant": "t", "key": "k", "spec": {}})
         jnl.close()
-        server = serve_factory(use_journal=False)  # job is NOT live on this server
-        # use_journal=False also disables the disk fallback → 404.
-        with pytest.raises(client.ServerError) as info:
-            client.get_json(server.base_url, "/jobs/" + "7" * 16 + "-aa")
-        assert info.value.status == 404
 
-        server2 = serve_factory()
-        # Journaling on: the incomplete journal was recovered at boot,
-        # so it is either live or already done — but always known.
-        status = client.get_json(server2.base_url, "/jobs/" + "7" * 16 + "-aa")
+        server = serve_factory()
+        # The incomplete journal was recovered at boot, so it is either
+        # live or already done — but always known.
+        status = client.get_json(server.base_url, "/jobs/" + "7" * 16 + "-aa")
         assert status["job"] == "7" * 16 + "-aa"
 
         with pytest.raises(client.ServerError) as info:
-            client.get_json(server2.base_url, "/jobs/NOT-A-JOB")
+            client.get_json(server.base_url, "/jobs/NOT-A-JOB")
         assert info.value.status == 400
 
 
@@ -394,9 +377,3 @@ class TestJournalOnCompletion:
         stats = client.get_json(server.base_url, "/cache/stats")
         assert stats["jobs"]["journals"] >= 1
         assert stats["jobs"]["completed"] >= 1
-
-    def test_no_journal_mode_runs_clean_without_a_jobs_dir(self, serve_factory):
-        server = serve_factory(use_journal=False)
-        events = list(client.stream_submit(server.base_url, APP_REQUEST, timeout=120))
-        assert events[-1]["event"] == "done" and events[-1]["ok"] is True
-        assert not (_journal_store().root).exists()
