@@ -26,9 +26,9 @@ lists:
 Batched access contract
 -----------------------
 :meth:`Cache.access_lines` is the primary entry point: it takes a whole
-line-address array (what :mod:`repro.sim.ops` produces for block,
-strided and gather accesses) and resolves hits, misses, evictions and
-writebacks in vectorized passes:
+line-address sequence (the ``range``, list or array :mod:`repro.sim.ops`
+produces for block, gather and strided accesses) and resolves hits,
+misses, evictions and writebacks in vectorized passes:
 
 * **all-hit batches** (warm re-touch runs) update recency stamps and
   dirty bits with pure array ops — no per-line Python;
@@ -323,17 +323,22 @@ class Cache:
     # Batched interface
 
     def access_lines(
-        self, line_addrs: Union[range, np.ndarray, Iterable[int]], write: bool
+        self,
+        line_addrs: Union[range, List[int], np.ndarray, Iterable[int]],
+        write: bool,
     ) -> float:
         """Access a sequence of lines; returns total latency in ns.
 
-        Accepts the ``range`` / ndarray output of the op-expansion
-        helpers (or any iterable of line addresses).  Decisions, stats
-        and the returned total are bit-identical to looping
-        ``access_line`` over the sequence.
+        Accepts the ``range`` / list / ndarray output of the op-expansion
+        helpers (or any iterable of line addresses).  A small ``range``
+        or list is walked as it is, with no numpy round trip.
+        Decisions, stats and the returned total are bit-identical to
+        looping ``access_line`` over the sequence.
         """
-        addrs = _as_line_array(line_addrs)
-        n = addrs.shape[0]
+        addrs = line_addrs
+        if not isinstance(addrs, (range, list)):
+            addrs = _as_line_array(addrs)
+        n = len(addrs)
         if n == 0:
             return 0.0
         # Sanitizer guard: like tracing below, one module load + None
@@ -352,11 +357,14 @@ class Cache:
             # Narrow batch: the dict-based scalar walk beats numpy's
             # fixed per-call overhead.  Left-to-right accumulation
             # matches the batched total bit-for-bit.
+            if isinstance(addrs, np.ndarray):
+                addrs = addrs.tolist()
             total = 0.0
             access = self.access_line
-            for a in addrs.tolist():
+            for a in addrs:
                 total += access(a, write)
         else:
+            addrs = _as_line_array(addrs)
             kinds = np.full(n, _WRITE if write else _READ, dtype=np.int8)
             lat = self._process(addrs, kinds)
             # Left-to-right accumulation: bit-identical to the scalar
@@ -368,7 +376,7 @@ class Cache:
 
     def access_lines_batch(
         self,
-        line_arrays: List[Union[range, np.ndarray, Iterable[int]]],
+        line_arrays: List[Union[range, List[int], np.ndarray]],
         write_flags: List[bool],
     ) -> np.ndarray:
         """Resolve several ops' line sequences in one fused pass.
@@ -383,13 +391,13 @@ class Cache:
         :meth:`~repro.check.runtime.Checker.on_cache_batch` has nothing
         to resolve.
         """
-        parts = [_as_line_array(a) for a in line_arrays]
-        addrs = np.concatenate(parts)
+        counts = [len(a) for a in line_arrays]
+        addrs = _concat_lines(line_arrays, counts)
         kinds = np.repeat(
             np.array(
                 [(_WRITE if w else _READ) for w in write_flags], dtype=np.int8
             ),
-            [p.shape[0] for p in parts],
+            counts,
         )
         tr = _trace.TRACER
         if tr is None:
@@ -1175,6 +1183,26 @@ def _as_line_array(lines: Union[range, np.ndarray, Iterable[int]]) -> np.ndarray
     if isinstance(lines, range):
         return np.arange(lines.start, lines.stop, lines.step, dtype=np.int64)
     return np.fromiter(lines, dtype=np.int64)
+
+
+def _concat_lines(parts: list, counts: List[int]) -> np.ndarray:
+    """Line sequences back to back in one int64 array.
+
+    Step-1 ranges, the block footprints, expand in one vectorised pass:
+    each range's start less its position, repeated over its lines, plus
+    one ``arange`` over the whole batch.  Other parts are copied into
+    their positions.
+    """
+    is_range = [type(p) is range and p.step == 1 for p in parts]
+    starts = [p.start if r else 0 for p, r in zip(parts, is_range)]
+    cnt = np.array(counts, dtype=np.int64)
+    pos = np.cumsum(cnt) - cnt
+    addrs = np.repeat(np.array(starts, dtype=np.int64) - pos, cnt)
+    addrs += np.arange(addrs.shape[0], dtype=np.int64)
+    if not all(is_range):
+        rest = [_as_line_array(p) for p, r in zip(parts, is_range) if not r]
+        addrs[np.repeat(np.logical_not(is_range), cnt)] = np.concatenate(rest)
+    return addrs
 
 
 def _all_distinct(addrs: np.ndarray) -> bool:

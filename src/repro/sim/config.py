@@ -94,12 +94,17 @@ class BusConfig:
         _require(self.bytes_per_transfer > 0, "bus width must be positive")
         _require(self.ns_per_transfer > 0, "bus cycle must be positive")
 
+    def transfer_cycles(self, nbytes: int) -> int:
+        """Whole bus cycles needed to move ``nbytes``."""
+        if nbytes <= 0:
+            return 0
+        return -(-nbytes // self.bytes_per_transfer)
+
     def transfer_ns(self, nbytes: int) -> float:
         """Time to move ``nbytes`` across the bus (whole transfers)."""
         if nbytes <= 0:
             return 0.0
-        transfers = -(-nbytes // self.bytes_per_transfer)
-        return transfers * self.ns_per_transfer
+        return self.transfer_cycles(nbytes) * self.ns_per_transfer
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ than per byte — identical hit/miss behaviour, tractable in Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Iterator, List, Sequence, Union
 
 import numpy as np
 
@@ -173,79 +172,71 @@ OpStream = Iterator[Op]
 # ----------------------------------------------------------------------
 # Line-address expansion
 
-
-_EMPTY_LINES = np.empty(0, dtype=np.int64)
-_EMPTY_LINES.setflags(write=False)
-
-
-@lru_cache(maxsize=4096)
-def _block_lines_cached(first: int, last: int) -> np.ndarray:
-    """Read-only line array [first, last] — kernels re-touch the same
-    blocks every sweep point, so expansions are memoized."""
-    lines = np.arange(first, last + 1, dtype=np.int64)
-    lines.setflags(write=False)
-    return lines
+#: Gathers and scatters of at most this many addresses expand to a
+#: list in plain Python, which the cache's dict regime walks without a
+#: numpy round trip; longer ones go through numpy.  DESIGN.md section
+#: 5b records the crossover measurement.
+SHORT_GATHER = 64
 
 
-def lines_for_block(addr: int, nbytes: int, line_bytes: int) -> np.ndarray:
-    """Cache lines touched by a sequential block access.
-
-    Returns a read-only int64 array (memoized per distinct
-    ``(first, last)`` pair — do not mutate).
-    """
+def lines_for_block(addr: int, nbytes: int, line_bytes: int) -> range:
+    """Cache lines touched by a sequential block access."""
     if nbytes <= 0:
-        return _EMPTY_LINES
-    first = addr // line_bytes
-    last = (addr + nbytes - 1) // line_bytes
-    return _block_lines_cached(first, last)
+        return range(0)
+    return range(addr // line_bytes, (addr + nbytes - 1) // line_bytes + 1)
+
+
+def _element_lines(starts: np.ndarray, elem_bytes: int, line_bytes: int) -> np.ndarray:
+    """Lines of the ``elem_bytes``-wide elements at ``starts``, in access
+    order, with consecutive duplicate lines collapsed (they would hit
+    anyway, so LRU behaviour is exact)."""
+    first = starts // line_bytes
+    last = (starts + elem_bytes - 1) // line_bytes
+    if np.array_equal(first, last):
+        lines = first
+    else:
+        # Expand every [first, last] interval with one segmented arange.
+        counts = last - first + 1
+        lines = np.repeat(first - (np.cumsum(counts) - counts), counts)
+        lines += np.arange(lines.shape[0], dtype=np.int64)
+    keep = np.ones(len(lines), dtype=bool)
+    keep[1:] = lines[1:] != lines[:-1]
+    return lines[keep]
 
 
 def lines_for_stride(
     addr: int, count: int, stride_bytes: int, elem_bytes: int, line_bytes: int
 ) -> np.ndarray:
-    """Cache lines touched by a strided access, in access order.
-
-    Consecutive duplicate lines are collapsed (they would hit anyway),
-    preserving order so LRU behaviour is exact.
-    """
+    """Cache lines touched by a strided access, in access order."""
     if count <= 0:
         return np.empty(0, dtype=np.int64)
     starts = addr + np.arange(count, dtype=np.int64) * stride_bytes
-    if elem_bytes > line_bytes:
-        # Each element spans several lines: expand every [first, last]
-        # line interval with one segmented arange (no per-element loop).
-        first = starts // line_bytes
-        last = (starts + elem_bytes - 1) // line_bytes
-        counts = last - first + 1
-        total = int(counts.sum())
-        seg_starts = np.cumsum(counts) - counts
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, counts)
-        lines = np.repeat(first, counts) + offsets
-    else:
-        first = starts // line_bytes
-        last = (starts + elem_bytes - 1) // line_bytes
-        if np.array_equal(first, last):
-            lines = first
-        else:
-            lines = np.ravel(np.column_stack([first, last]))
-    keep = np.ones(len(lines), dtype=bool)
-    keep[1:] = lines[1:] != lines[:-1]
-    return lines[keep]
+    return _element_lines(starts, elem_bytes, line_bytes)
 
 
 def lines_for_gather(
     addrs: Sequence[int], elem_bytes: int, line_bytes: int
-) -> np.ndarray:
-    """Cache lines touched by a gather/scatter, in access order."""
-    arr = np.asarray(addrs, dtype=np.int64)
-    if arr.size == 0:
-        return arr
-    first = arr // line_bytes
-    last = (arr + elem_bytes - 1) // line_bytes
-    if np.array_equal(first, last):
-        lines = first
-    else:
-        lines = np.ravel(np.column_stack([first, last]))
-    keep = np.ones(len(lines), dtype=bool)
-    keep[1:] = lines[1:] != lines[:-1]
-    return lines[keep]
+) -> Union[List[int], np.ndarray]:
+    """Cache lines touched by a gather/scatter, in access order.
+
+    Returns a list for at most :data:`SHORT_GATHER` addresses, else an
+    int64 array; both hold the lines :func:`lines_for_stride` would
+    give for the same element starts.
+    """
+    if len(addrs) > SHORT_GATHER:
+        starts = np.asarray(addrs, dtype=np.int64)
+        return _element_lines(starts, elem_bytes, line_bytes)
+    if isinstance(addrs, np.ndarray):
+        addrs = addrs.tolist()
+    out: List[int] = []
+    prev = None
+    span = elem_bytes - 1
+    for a in addrs:
+        first = a // line_bytes
+        last = (a + span) // line_bytes
+        if first != prev:
+            out.append(first)
+        if last != first:
+            out.extend(range(first + 1, last + 1))
+        prev = last
+    return out

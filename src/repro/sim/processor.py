@@ -56,6 +56,8 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
+import numpy as np
+
 from repro.sim.cache import Cache
 from repro.sim.config import MachineConfig
 from repro.sim.errors import OperationError
@@ -76,6 +78,28 @@ _ENT_END = 3
 #: Flush a fused segment when its footprint reaches this many lines —
 #: bounds buffering memory; flushing mid-segment is always safe.
 _SEGMENT_MAX_LINES = 1 << 17
+
+
+def _fold_slices(lat: np.ndarray, counts: List[int]) -> List[float]:
+    """Left-to-right float sum of each consecutive ``counts`` slice.
+
+    ``sum()`` will not do: from Python 3.12 it compensates rounding.
+    Slices are grouped by bit length into zero-padded matrix rows
+    (``x + 0.0 == x``); ``np.add.accumulate`` along a row is strictly
+    sequential, so each row's last column is the per-op fold.
+    """
+    cnt = np.array(counts, dtype=np.int64)
+    starts = np.cumsum(cnt) - cnt
+    ext = np.append(lat, 0.0)  # index len(lat) pads
+    bits = np.frexp(cnt)[1]  # bit length; 0 for an empty slice
+    out = np.zeros(cnt.shape[0])
+    for b in np.unique(bits[bits > 0]).tolist():
+        rows = np.flatnonzero(bits == b)
+        cols = np.arange((1 << b) - 1)
+        idx = starts[rows, None] + cols
+        idx[cols >= cnt[rows, None]] = lat.shape[0]
+        out[rows] = np.add.accumulate(ext[idx], axis=1)[:, -1]
+    return out.tolist()
 
 
 class MemorySystemBase:
@@ -283,8 +307,8 @@ class Processor:
 
             tags: list = []  # _ENT_* codes
             vals: list = []  # ns / mem index / phase name, per entry
-            arrays: list = []  # line arrays of the segment's memory ops
-            writes: list = []  # per-array write flag
+            footprints: list = []  # line footprints of the segment's memory ops
+            writes: list = []  # per-footprint write flag
             n_lines = 0
             while op is not _SENTINEL:
                 t = op.__class__
@@ -298,24 +322,24 @@ class Processor:
                     continue
                 w = True
                 if t is MemRead:
-                    arr = lines_for_block(op.addr, op.nbytes, line)
+                    fp = lines_for_block(op.addr, op.nbytes, line)
                     w = False
                 elif t is MemWrite:
-                    arr = lines_for_block(op.addr, op.nbytes, line)
+                    fp = lines_for_block(op.addr, op.nbytes, line)
                 elif t is StridedRead:
-                    arr = lines_for_stride(
+                    fp = lines_for_stride(
                         op.addr, op.count, op.stride_bytes, op.elem_bytes, line
                     )
                     w = False
                 elif t is StridedWrite:
-                    arr = lines_for_stride(
+                    fp = lines_for_stride(
                         op.addr, op.count, op.stride_bytes, op.elem_bytes, line
                     )
                 elif t is GatherRead:
-                    arr = lines_for_gather(op.addrs, op.elem_bytes, line)
+                    fp = lines_for_gather(op.addrs, op.elem_bytes, line)
                     w = False
                 elif t is ScatterWrite:
-                    arr = lines_for_gather(op.addrs, op.elem_bytes, line)
+                    fp = lines_for_gather(op.addrs, op.elem_bytes, line)
                 elif t is BeginPhase:
                     tags.append(_ENT_BEGIN)
                     vals.append(op.name)
@@ -329,16 +353,16 @@ class Processor:
                 else:
                     break  # sync point
                 tags.append(_ENT_MEM)
-                vals.append(len(arrays))
-                arrays.append(arr)
+                vals.append(len(footprints))
+                footprints.append(fp)
                 writes.append(w)
-                n_lines += len(arr)
+                n_lines += len(fp)
                 if n_lines >= _SEGMENT_MAX_LINES:
-                    flush(tags, vals, arrays, writes, n_lines, ck, tr)
-                    tags, vals, arrays, writes, n_lines = [], [], [], [], 0
+                    flush(tags, vals, footprints, writes, n_lines, ck, tr)
+                    tags, vals, footprints, writes, n_lines = [], [], [], [], 0
                 op = next(it, _SENTINEL)
             if tags:
-                flush(tags, vals, arrays, writes, n_lines, ck, tr)
+                flush(tags, vals, footprints, writes, n_lines, ck, tr)
             if op is _SENTINEL:
                 break
             t = op.__class__
@@ -376,7 +400,7 @@ class Processor:
         self,
         tags: list,
         vals: list,
-        arrays: list,
+        footprints: list,
         writes: list,
         n_lines: int,
         ck,
@@ -392,17 +416,12 @@ class Processor:
         addition is not associative, so they cannot be collapsed).
         """
         l1d = self.l1d
-        if len(arrays) > 1 and n_lines > l1d._SMALL_BATCH:
-            lat = l1d.access_lines_batch(arrays, writes).tolist()
-            mem_totals = []
-            pos = 0
-            for arr in arrays:
-                end = pos + len(arr)
-                mem_totals.append(sum(lat[pos:end]))
-                pos = end
+        if len(footprints) > 1 and n_lines > l1d._SMALL_BATCH:
+            lat = l1d.access_lines_batch(footprints, writes)
+            mem_totals = _fold_slices(lat, [len(fp) for fp in footprints])
         else:
             access = l1d.access_lines
-            mem_totals = [access(arr, w) for arr, w in zip(arrays, writes)]
+            mem_totals = [access(fp, w) for fp, w in zip(footprints, writes)]
         stats = self.stats
         if ck is not None or tr is not None:
             # The per-op observations: ``on_op``'s clock hint, then the

@@ -148,6 +148,20 @@ class TestCoherenceDetector:
         assert ck.counts[runtime.COHERENCE] == 1
         assert "sync words" in ck.violations[0].message
 
+    def test_stale_sync_gather_read_flagged(self):
+        # A short gather's footprint reaches the detector as a list.
+        sync = PAGE - SYNC_BYTES
+        ck, _ = run_checked(
+            [
+                O.GatherRead([sync]),
+                O.Activate(0, 1, TASK),
+                O.WaitPage(0),
+                O.GatherRead([sync, sync + 4]),
+            ]
+        )
+        assert ck.counts[runtime.COHERENCE] == 1
+        assert "sync words" in ck.violations[0].message
+
     def test_uncached_sync_read_is_clean(self):
         # The idiomatic app pattern: first sync-word access after the
         # wait misses and fetches fresh data.

@@ -28,6 +28,16 @@ class TestBus:
         assert bus.bytes_transferred == 0
         assert bus.busy_ns == 0.0
 
+    def test_batch_matches_single_transfers_bit_for_bit(self):
+        # A fractional cycle: summing 100 x 80.8 drifts by ulps, so
+        # occupancy must come from the whole-cycle count.
+        cfg = BusConfig(ns_per_transfer=10.1)
+        one, batch = Bus(cfg), Bus(cfg)
+        durations = {one.transfer(32) for _ in range(100)}
+        assert durations == {batch.transfer_batch(100, 32)}
+        assert one.busy_ns == batch.busy_ns == 800 * 10.1
+        assert one.cycles == batch.cycles == 800
+
 
 class TestDRAM:
     def test_read_line_pays_latency_plus_bus(self):

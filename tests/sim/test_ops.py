@@ -4,7 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.ops import lines_for_block, lines_for_gather, lines_for_stride
+from repro.sim.ops import (
+    SHORT_GATHER,
+    lines_for_block,
+    lines_for_gather,
+    lines_for_stride,
+)
 
 
 class TestBlockExpansion:
@@ -19,6 +24,9 @@ class TestBlockExpansion:
 
     def test_empty_block(self):
         assert list(lines_for_block(0, 0, 32)) == []
+
+    def test_block_is_a_range(self):
+        assert lines_for_block(40, 100, 32) == range(1, 5)
 
 
 class TestStrideExpansion:
@@ -82,17 +90,36 @@ class TestGatherExpansion:
     def test_empty_gather(self):
         assert len(lines_for_gather([], 4, 32)) == 0
 
+    def test_wide_element_keeps_middle_lines(self):
+        # Each 96-byte element spans three lines; all three are touched.
+        assert list(lines_for_gather([0, 128], 96, 32)) == [0, 1, 2, 4, 5, 6]
+        long = [128 * i for i in range(SHORT_GATHER + 1)]
+        got = lines_for_gather(long, 96, 32)
+        assert list(got) == [4 * i + j for i in range(len(long)) for j in range(3)]
+
+    def test_short_gather_is_a_list_of_ints(self):
+        lines = lines_for_gather(np.array([100, 0, 200]), 4, 32)
+        assert lines == [3, 0, 6]
+        assert all(type(x) is int for x in lines)
+        long = lines_for_gather(list(range(0, 64 * (SHORT_GATHER + 1), 64)), 4, 32)
+        assert isinstance(long, np.ndarray) and long.dtype == np.int64
+
 
 class TestExpansionProperties:
     @given(
         addr=st.integers(min_value=0, max_value=10000),
-        count=st.integers(min_value=0, max_value=200),
+        count=st.one_of(
+            st.integers(min_value=0, max_value=2 * SHORT_GATHER),
+            st.integers(min_value=0, max_value=200),
+        ),
         stride=st.integers(min_value=1, max_value=256),
-        elem=st.sampled_from([1, 2, 4, 8]),
+        elem=st.sampled_from([1, 2, 4, 8, 31, 32, 33, 64, 96, 130]),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_stride_matches_naive_gather(self, addr, count, stride, elem):
-        """Strided expansion equals gather over the same addresses."""
+        """Strided expansion equals gather over the same addresses, on
+        both sides of the short-gather cutoff and for elements wider
+        than a line."""
         addrs = [addr + i * stride for i in range(count)]
         a = lines_for_stride(addr, count, stride, elem, 32)
         b = lines_for_gather(addrs, elem, 32)
