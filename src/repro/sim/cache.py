@@ -38,9 +38,19 @@ misses, evictions and writebacks in vectorized passes:
   order is exactly "pre-state lines in LRU order, then this batch's
   installs in order";
 * everything else (mixed hit/miss runs, the interleaved
-  demand/writeback streams a lower level receives) resolves
-  round-major when wide and otherwise falls back to an exact per-set
-  scalar walk over numpy-extracted state.
+  demand/writeback streams a lower level receives) resolves in rounds
+  when wide and otherwise falls back to an exact per-set scalar walk
+  over numpy-extracted state.  Round ``j`` takes the ``j``-th op of
+  every set that has one, on way-major ``(assoc, m)`` copies of the
+  active sets' tag, stamp and dirty rows: one compare per way column
+  finds each op's way, one flat index per field reads and overwrites
+  it, and only the way's old content is recorded.  A batch that
+  carries posted installs and whose first op misses can take neither
+  fast path, so it skips the full-batch way lookup.
+
+Both general resolvers hand :meth:`Cache._finish` what each op found
+in the way it touched; one pass in stream order derives hits, demand
+fills, dirty victims and posted DRAM writes from that.
 
 Misses are *batched* into the next level: one recursive
 ``access_lines``-style call per level per batch carries the demand
@@ -56,8 +66,9 @@ replaying the batch through the scalar model one line at a time:
 
 * sets are independent, so per-set resolution order cannot change
   decisions; the *inter-set* order of next-level traffic is preserved
-  by keying every spilled access with ``2 * position`` (demand fill)
-  or ``2 * position + 1`` (posted victim) and sorting;
+  because demand fills and posted victims are both listed by op
+  position, ascending, and merged with each op's fill ahead of the
+  victim it evicts;
 * an all-hit batch cannot evict, so pre-state membership decides it;
 * in a distinct cold batch no install is ever re-touched, so eviction
   order is the FIFO concatenation used by the segmented fast path;
@@ -88,6 +99,8 @@ the scalar reference with mixed batch sizes.
 
 from __future__ import annotations
 
+import ctypes
+import sys
 from collections import OrderedDict
 
 from typing import Iterable, List, Optional, Tuple, Union
@@ -107,6 +120,38 @@ _INSTALL = 2
 _STAMP_MAX = np.iinfo(np.int64).max
 
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
+
+#: glibc ``mallopt`` parameters and the values pinned for them.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20  # the largest glibc accepts on 64-bit hosts
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for this process.
+
+    A wide batch holds a few dozen temporaries of 8 bytes per op at
+    once.  glibc maps a block at or above its mmap threshold afresh
+    and returns the heap's free top to the kernel once it exceeds the
+    trim threshold; both start at 128/256 KiB and rise only when a
+    mapped block is freed, to that block's size (and twice it).  So
+    whether each batch faulted its temporaries in anew depended on
+    the largest single temporary freed earlier in the process: left
+    at 1-8 MiB, below a batch's live set, they cost a Figure 3
+    array-find point about 5,000 minor faults, against 3 pinned
+    (DESIGN.md §5b).  Other C libraries lack ``mallopt``; nothing is
+    changed there.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_pin_malloc_thresholds()
 
 
 class CacheStats:
@@ -169,6 +214,14 @@ class Cache:
         # names the rest).  None means the matrices are authoritative.
         self._scalar_sets: Optional[List[Optional[OrderedDict]]] = None
         self._scalar_live: List[int] = []
+        # Routing counters: wide batches taken per path, and conversions
+        # into and out of the dict regime.  Plain ints, no stats role.
+        self.batches_all_hit = 0
+        self.batches_cold = 0
+        self.batches_rounds = 0
+        self.batches_walked = 0
+        self.dict_entries = 0
+        self.dict_exits = 0
 
     # ------------------------------------------------------------------
     # Public scalar interface — the small-batch regime
@@ -190,6 +243,7 @@ class Cache:
         """
         if self._scalar_sets is not None:
             return
+        self.dict_entries += 1
         sets: List[Optional[OrderedDict]] = [None] * self._n_sets
         occupied = np.flatnonzero(self._occ)
         if occupied.shape[0]:
@@ -217,6 +271,7 @@ class Cache:
         if sets is None:
             return
         self._scalar_sets = None
+        self.dict_exits += 1
         assoc = self._assoc
         live = self._scalar_live
         rows = np.array(live, dtype=np.int64)
@@ -446,19 +501,19 @@ class Cache:
             return _EMPTY_F64
         if self._scalar_sets is not None:
             self._flush_lists()  # leave the small-batch regime
-        n_sets = self._n_sets
-        tag, set_idx = np.divmod(addrs, n_sets)
-
-        way = _way_of(self._tag, set_idx, tag)
-        hit = way >= 0
-        demand = kinds != _INSTALL
-
-        if hit.all():
-            return self._apply_all_hits(addrs, set_idx, kinds, way, demand)
-
-        if demand.all() and not hit.any() and _all_distinct(addrs):
-            return self._apply_cold_distinct(addrs, set_idx, tag, kinds)
-
+        tag, set_idx = np.divmod(addrs, self._n_sets)
+        demand_only = int(kinds.max()) != _INSTALL
+        # A batch that carries installs and whose first op misses can
+        # take neither fast path, so it skips the full-batch lookup.
+        if demand_only or int(tag[0]) in self._tag[int(set_idx[0])]:
+            way = _way_of(self._tag, set_idx, tag)
+            hit = way >= 0
+            if hit.all():
+                self.batches_all_hit += 1
+                return self._apply_all_hits(addrs, set_idx, kinds, way)
+            if demand_only and not hit.any() and _all_distinct(addrs):
+                self.batches_cold += 1
+                return self._apply_cold_distinct(addrs, set_idx, tag, kinds)
         return self._apply_general(addrs, set_idx, tag, kinds)
 
     # -- fast path 1: every op hits in the pre-state -------------------
@@ -469,7 +524,6 @@ class Cache:
         set_idx: np.ndarray,
         kinds: np.ndarray,
         way: np.ndarray,
-        demand: np.ndarray,
     ) -> np.ndarray:
         """Hits never evict, so pre-state membership is the decision."""
         n = addrs.shape[0]
@@ -486,6 +540,7 @@ class Cache:
         wmask = kinds != _READ  # writes and installs both dirty the line
         if wmask.any():
             self._dirty.reshape(-1)[flat[wmask]] = True
+        demand = kinds != _INSTALL
         n_demand = int(demand.sum())
         self.stats.hits += n_demand
         if n_demand == n:
@@ -549,11 +604,6 @@ class Cache:
             victim_tag[from_new] = tag_sorted[src]
             victim_dirty[from_new] = w_sorted[src]
 
-        wb = victim_dirty  # dirty victim evicted at this (sorted) op
-        n_wb = int(wb.sum())
-        self.stats.misses += n
-        self.stats.writebacks += n_wb
-
         # Post-state: the last min(assoc, occ0+k) entries of the
         # virtual sequence survive, in order (LRU .. MRU).
         k = counts
@@ -578,32 +628,27 @@ class Cache:
         self._clock += assoc
         self._occ[uniq] = occ_final
 
-        # Spill to the next level: every op is a demand fill, dirty
-        # victims follow their op as posted installs.
-        wb_orig = order[wb]
-        victim_addr = victim_tag[wb] * n_sets + s_sorted[wb]
-        hit_ns = self.config.hit_ns
-        if self.next_level is not None:
-            lower = self._spill(
-                addrs, 2 * np.arange(n, dtype=np.int64), victim_addr, 2 * wb_orig + 1
-            )
-            lat = hit_ns + lower
-            if n_wb:
-                wb_add = np.zeros(n)
-                wb_add[wb_orig] = self.next_level.config.hit_ns
-                lat = lat + wb_add
-            return lat
-        line_bytes = self.config.line_bytes
-        fill = self.dram.read_lines(n, line_bytes)
-        lat = np.full(n, hit_ns + fill)
-        if n_wb:
-            wb_cost = self.dram.write_lines(n_wb, line_bytes)
-            wb_add = np.zeros(n)
-            wb_add[wb_orig] = wb_cost
-            lat = lat + wb_add
-        return lat
+        # Every op is a demand fill; dirty victims follow their op as
+        # posted installs, in stream order.
+        n_wb = int(np.count_nonzero(victim_dirty))
+        self.stats.misses += n
+        self.stats.writebacks += n_wb
+        victims = order[victim_dirty]
+        victim_addrs = victim_tag[victim_dirty] * n_sets + s_sorted[victim_dirty]
+        if n_wb > 1:
+            by_op = np.argsort(victims)
+            victims = victims[by_op]
+            victim_addrs = victim_addrs[by_op]
+        fills = np.arange(n, dtype=np.int64)
+        return self._charge(np.empty(n), addrs, fills, victims, victim_addrs, victims)
 
-    # -- general path: exact per-set scalar walk -----------------------
+    # -- general path --------------------------------------------------
+
+    #: Use the rounds engine when the batch has at least this many ops...
+    _ROUNDS_MIN_OPS = 192
+    #: ...and the deepest set's op count times this fits in the batch
+    #: (i.e. the average vector width per round is at least this).
+    _ROUNDS_WIDTH = 24
 
     def _apply_general(
         self,
@@ -614,29 +659,39 @@ class Cache:
     ) -> np.ndarray:
         """Mixed hit/miss (or repeated / install-bearing) batches.
 
-        Sets are independent: wide batches resolve round-major, the
-        rest are walked per set with exact scalar LRU over
-        numpy-extracted state.  Next-level traffic is re-merged into
-        global order.
+        Sets are independent: wide batches resolve in rounds, the rest
+        are walked per set.  Both return what each op found in the way
+        it touched, from which :meth:`_finish` charges the batch.
         """
         n = addrs.shape[0]
+        order = _set_order(set_idx, self._n_sets)
+        start, counts, uniq = _group_sorted(set_idx[order])
+        if n >= self._ROUNDS_MIN_OPS and int(counts.max()) * self._ROUNDS_WIDTH <= n:
+            self.batches_rounds += 1
+            resolve = self._apply_rounds
+        else:
+            self.batches_walked += 1
+            resolve = self._walk_sets
+        pre_tag, pre_dirty = resolve(tag, kinds, order, start, counts, uniq)
+        return self._finish(addrs, set_idx, tag, kinds, pre_tag, pre_dirty)
+
+    def _walk_sets(
+        self,
+        tag: np.ndarray,
+        kinds: np.ndarray,
+        order: np.ndarray,
+        start: np.ndarray,
+        counts: np.ndarray,
+        uniq: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact per-set scalar LRU walk over numpy-extracted state.
+
+        Returns each op's pre-access way content in stream order (see
+        :meth:`_finish`).
+        """
+        n = tag.shape[0]
         assoc = self._assoc
-        n_sets = self._n_sets
-
-        order = _set_order(set_idx, n_sets)
-        s_sorted = set_idx[order]
-        start, counts, uniq = _group_sorted(s_sorted)
         m = uniq.shape[0]
-
-        lat = np.zeros(n)
-
-        # Wide batches over many sets: resolve round-major, one vector
-        # op per "j-th access of every set" (exact — sets independent).
-        max_count = int(counts.max())
-        if n >= self._ROUNDS_MIN_OPS and max_count * self._ROUNDS_WIDTH <= order.shape[0]:
-            return self._apply_rounds(lat, order, tag, kinds, start, counts, uniq)
-
-        # Narrow residue: exact per-set scalar walk, MRU-first lists.
         tag_rows = self._tag[uniq]
         stamp_rows = np.where(tag_rows == -1, _STAMP_MAX, self._stamp[uniq])
         lru = np.argsort(stamp_rows, axis=1)
@@ -646,27 +701,16 @@ class Cache:
 
         order_l = order.tolist()
         tag_l = tag[order].tolist()
-        kind_l = kinds[order].tolist()
+        dirtying_l = (kinds[order] != _READ).tolist()
         start_l = start.tolist()
         counts_l = counts.tolist()
         uniq_l = uniq.tolist()
 
-        hits = misses = writebacks = 0
-        posted_dram_writes = 0
-        read_keys: List[int] = []
-        read_addrs: List[int] = []
-        read_ops: List[int] = []
-        inst_keys: List[int] = []
-        inst_addrs: List[int] = []
-        wb_ops: List[int] = []  # demand ops charged a posted-victim cost
-        hit_ops: List[int] = []  # demand ops that hit
-        has_next = self.next_level is not None
-
+        found_tag = [-1] * n
+        found_dirty = [False] * n
         out_tags: List[List[int]] = []
         out_dirty: List[List[bool]] = []
-
         for g in range(m):
-            s = uniq_l[g]
             occ = occ0[g]
             # MRU-first working lists for this set.
             ltags = pre_tags[g][:occ][::-1]
@@ -674,51 +718,29 @@ class Cache:
             base = start_l[g]
             for p in range(base, base + counts_l[g]):
                 t = tag_l[p]
-                kd = kind_l[p]
                 op = order_l[p]
                 # Membership test, not try/except: misses dominate here
                 # and raising ValueError per miss costs ~1us each.
-                pos = ltags.index(t) if t in ltags else -1
-                if pos >= 0:
+                if t in ltags:
+                    pos = ltags.index(t)
+                    d = ldirty[pos]
+                    found_tag[op] = t
+                    found_dirty[op] = d
                     if pos:
-                        ltags.insert(0, ltags.pop(pos))
-                        ldirty.insert(0, ldirty.pop(pos))
-                    if kd == _INSTALL:
+                        del ltags[pos]
+                        del ldirty[pos]
+                        ltags.insert(0, t)
+                        ldirty.insert(0, d or dirtying_l[p])
+                    elif dirtying_l[p]:
                         ldirty[0] = True
-                    else:
-                        hits += 1
-                        hit_ops.append(op)
-                        if kd == _WRITE:
-                            ldirty[0] = True
                     continue
-                # Miss at this level.
-                if kd != _INSTALL:
-                    misses += 1
-                    read_keys.append(2 * op)
-                    read_addrs.append(t * n_sets + s)
-                    read_ops.append(op)
                 if len(ltags) >= assoc:
-                    vd = ldirty.pop()
-                    vt = ltags.pop()
-                    if vd:
-                        writebacks += 1
-                        if has_next:
-                            inst_keys.append(2 * op + 1)
-                            inst_addrs.append(vt * n_sets + s)
-                        else:
-                            posted_dram_writes += 1
-                        if kd != _INSTALL:
-                            wb_ops.append(op)
-                            if not has_next:
-                                posted_dram_writes -= 1
+                    found_tag[op] = ltags.pop()
+                    found_dirty[op] = ldirty.pop()
                 ltags.insert(0, t)
-                ldirty.insert(0, kd != _READ)
+                ldirty.insert(0, dirtying_l[p])
             out_tags.append(ltags)
             out_dirty.append(ldirty)
-
-        self.stats.hits += hits
-        self.stats.misses += misses
-        self.stats.writebacks += writebacks
 
         # Write the per-set outcomes back into the matrices (batched).
         rows_flat: List[int] = []
@@ -751,247 +773,195 @@ class Cache:
             self._dirty.reshape(-1)[flat] = dirty_flat
             self._stamp.reshape(-1)[flat] = stamps_flat
         self._occ[uniq] = [len(t) for t in out_tags]
-
-        return self._charge_and_spill(
-            lat,
-            hit_ops,
-            np.asarray(read_ops, dtype=np.int64),
-            np.asarray(read_keys, dtype=np.int64),
-            np.asarray(read_addrs, dtype=np.int64),
-            np.asarray(inst_keys, dtype=np.int64),
-            np.asarray(inst_addrs, dtype=np.int64),
-            wb_ops,
-            posted_dram_writes,
+        return (
+            np.array(found_tag, dtype=np.int64),
+            np.array(found_dirty, dtype=bool),
         )
-
-    # -- general path, wide batches: round-major vectorization ---------
-
-    #: Use the rounds engine when the batch has at least this many ops...
-    _ROUNDS_MIN_OPS = 192
-    #: ...and the deepest set's op count times this fits in the batch
-    #: (i.e. the average vector width per round is at least this).
-    _ROUNDS_WIDTH = 24
 
     def _apply_rounds(
         self,
-        lat: np.ndarray,
-        order: np.ndarray,
         tag: np.ndarray,
         kinds: np.ndarray,
+        order: np.ndarray,
         start: np.ndarray,
         counts: np.ndarray,
         uniq: np.ndarray,
-    ) -> np.ndarray:
-        """Resolve a grouped batch as per-set rounds of vector ops.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Resolve a grouped batch as rounds of vector ops, way-major.
 
-        Round ``j`` processes the ``j``-th op of every set still active
-        — exact, because sets share no state.  Per-op Python work
-        disappears; cost scales with ``max(ops per set)`` rounds, each
-        a handful of array ops over the active sets.
+        Round ``j`` takes the ``j``-th op of every set that has one —
+        exact, because sets share no state.  The active sets' tag,
+        stamp and dirty rows are copied way-major, ``(assoc, m)`` with
+        the deepest sets first, so a round's sets are a prefix of every
+        way column.  A round finds each op's way (its line on a hit,
+        else the LRU victim) with one compare per way column, reads and
+        overwrites that way through one flat index per field, and
+        records only the way's old content; :meth:`_finish` derives
+        hits, fills and victims from it in stream order.
 
-        Stamps are assigned ``clock + j``: within a set the rounds are
-        its ops in stream order, so relative recency (all that LRU
-        needs) matches the scalar walk exactly; absolute stamp values
-        across sets differ, which is unobservable.
+        Stamps are ``clock + j``: within a set the rounds are its ops in
+        stream order, so relative recency (all that LRU needs) matches
+        the scalar walk exactly; absolute stamp values across sets
+        differ, which is unobservable.
         """
-        assoc = self._assoc
-        n_sets = self._n_sets
-
-        # Sort groups by depth so each round's active sets are a prefix.
+        n = tag.shape[0]
+        m = uniq.shape[0]
         grp = np.argsort(-counts, kind="stable")
         counts_d = counts[grp]
-        start_d = start[grp]
-        uniq_d = uniq[grp]
+        rows = uniq[grp]
         max_count = int(counts_d[0])
+        # Round j covers ops bounds[j]..bounds[j+1]-1 of the round-major
+        # order: the j-th op of each of the first widths[j] sets.
+        widths = np.searchsorted(-counts_d, -np.arange(max_count), side="left")
+        bounds = np.zeros(max_count + 1, dtype=np.int64)
+        np.cumsum(widths, out=bounds[1:])
+        rank = np.empty(m, dtype=np.int64)
+        rank[grp] = np.arange(m)
+        j_of = np.arange(n, dtype=np.int64) - np.repeat(start, counts)
+        src = np.empty(n, dtype=np.int64)  # round-major -> stream position
+        src[bounds[j_of] + np.repeat(rank, counts)] = order
+        t_rm = tag[src]
+        dirtying = kinds[src] != _READ
 
-        # Working copies of the affected rows; written back at the end.
-        T = self._tag[uniq_d].copy()
-        S = self._stamp[uniq_d].copy()
-        D = self._dirty[uniq_d].copy()
-
-        tag_sorted = tag[order]
-        kind_sorted = kinds[order]
-        set_of_group = uniq_d
-
-        hits = misses = writebacks = 0
-        posted_dram_writes = 0
-        hit_parts: List[np.ndarray] = []
-        read_op_parts: List[np.ndarray] = []
-        read_addr_parts: List[np.ndarray] = []
-        inst_key_parts: List[np.ndarray] = []
-        inst_addr_parts: List[np.ndarray] = []
-        wb_op_parts: List[np.ndarray] = []
-
+        T = np.ascontiguousarray(self._tag[rows].T)
+        S = np.ascontiguousarray(self._stamp[rows].T)
+        D = np.ascontiguousarray(self._dirty[rows].T)
+        Tf = T.reshape(-1)
+        Sf = S.reshape(-1)
+        Df = D.reshape(-1)
+        cell = np.arange(T.size, dtype=np.int64).reshape(T.shape)
+        found_tag = np.empty(n, dtype=np.int64)
+        found_dirty = np.empty(n, dtype=bool)
         clock = self._clock
-        has_next = self.next_level is not None
-        neg_counts = -counts_d
-
+        b_l = bounds.tolist()
         for j in range(max_count):
-            width = np.searchsorted(neg_counts, -j, side="left")
-            p = start_d[:width] + j
-            t = tag_sorted[p]
-            kd = kind_sorted[p]
-            o = order[p]
-            demand = kd != _INSTALL
-
-            way_all = _way_of(T, slice(0, width), t)
-            hit = way_all >= 0
-
-            h_rows = np.flatnonzero(hit)
-            if h_rows.shape[0]:
-                way = way_all[h_rows]
-                S[h_rows, way] = clock + j
-                dirtying = kd[h_rows] != _READ
-                if dirtying.any():
-                    D[h_rows[dirtying], way[dirtying]] = True
-                dh = demand[h_rows]
-                hits += int(dh.sum())
-                hit_parts.append(o[h_rows[dh]])
-
-            mi_rows = np.flatnonzero(~hit)
-            if mi_rows.shape[0]:
-                # Invalid ways carry stamp 0 < any live stamp, so the
-                # first minimum is a free way if present, else the LRU.
-                vway = _lru_way(S, mi_rows)
-                vtag = T[mi_rows, vway]
-                vdirty = D[mi_rows, vway] & (vtag != -1)
-                dm = demand[mi_rows]
-                misses += int(dm.sum())
-                read_op_parts.append(o[mi_rows[dm]])
-                read_addr_parts.append(
-                    t[mi_rows[dm]] * n_sets + set_of_group[mi_rows[dm]]
-                )
-                n_wb = int(vdirty.sum())
-                if n_wb:
-                    writebacks += n_wb
-                    wb_rows = mi_rows[vdirty]
-                    if has_next:
-                        inst_key_parts.append(2 * o[wb_rows] + 1)
-                        inst_addr_parts.append(
-                            vtag[vdirty] * n_sets + set_of_group[wb_rows]
-                        )
-                    chargeable = vdirty & dm
-                    wb_op_parts.append(o[mi_rows[chargeable]])
-                    if not has_next:
-                        posted_dram_writes += n_wb - int(chargeable.sum())
-                T[mi_rows, vway] = t[mi_rows]
-                D[mi_rows, vway] = kd[mi_rows] != _READ
-                S[mi_rows, vway] = clock + j
+            a = b_l[j]
+            b = b_l[j + 1]
+            t = t_rm[a:b]
+            idx = _touched_cell(T, S, cell, b - a, t)
+            pt = found_tag[a:b]
+            pd = found_dirty[a:b]
+            np.take(Tf, idx, out=pt)
+            np.take(Df, idx, out=pd)
+            Tf[idx] = t
+            Sf[idx] = clock + j
+            Df[idx] = ((pt == t) & pd) | dirtying[a:b]
 
         self._clock += max_count
-        self._tag[uniq_d] = T
-        self._stamp[uniq_d] = S
-        self._dirty[uniq_d] = D
-        self._occ[uniq_d] = (T != -1).sum(axis=1)
+        self._tag[rows] = T.T
+        self._stamp[rows] = S.T
+        self._dirty[rows] = D.T
+        self._occ[rows] = np.count_nonzero(T != -1, axis=0)
 
-        self.stats.hits += hits
-        self.stats.misses += misses
-        self.stats.writebacks += writebacks
+        pre_tag = np.empty(n, dtype=np.int64)
+        pre_tag[src] = found_tag
+        pre_dirty = np.empty(n, dtype=bool)
+        pre_dirty[src] = found_dirty
+        return pre_tag, pre_dirty
 
-        hit_ops = _concat_i64(hit_parts)
-        read_ops = _concat_i64(read_op_parts)
-        read_addrs = _concat_i64(read_addr_parts)
-        inst_keys = _concat_i64(inst_key_parts)
-        inst_addrs = _concat_i64(inst_addr_parts)
-        wb_ops = _concat_i64(wb_op_parts)
-        return self._charge_and_spill(
-            lat,
-            hit_ops,
-            read_ops,
-            2 * read_ops,
-            read_addrs,
-            inst_keys,
-            inst_addrs,
-            wb_ops,
-            posted_dram_writes,
-        )
+    # -- latency assembly + next-level costing -------------------------
 
-    # -- shared latency assembly + next-level costing ------------------
+    def _finish(
+        self,
+        addrs: np.ndarray,
+        set_idx: np.ndarray,
+        tag: np.ndarray,
+        kinds: np.ndarray,
+        pre_tag: np.ndarray,
+        pre_dirty: np.ndarray,
+    ) -> np.ndarray:
+        """Derive a resolved batch's hits, fills and victims, and charge it.
 
-    def _charge_and_spill(
+        ``pre_tag``/``pre_dirty`` give, per op in stream order, what the
+        way it touched held before it: the op's own line on a hit, else
+        the victim (tag -1 for a free way, which is never dirty).
+        """
+        hit = pre_tag == tag
+        miss = ~hit
+        demand = kinds != _INSTALL
+        fills = np.flatnonzero(demand & miss)
+        victims = np.flatnonzero(pre_dirty & miss)
+        charged = victims[demand[victims]]  # demand ops pay the post
+        n_fills = fills.shape[0]
+        n_victims = victims.shape[0]
+        stats = self.stats
+        stats.hits += int(np.count_nonzero(demand)) - n_fills
+        stats.misses += n_fills
+        stats.writebacks += n_victims
+
+        lat = (demand & hit) * self.config.hit_ns
+        victim_addrs = pre_tag[victims] * self._n_sets + set_idx[victims]
+        return self._charge(lat, addrs, fills, victims, victim_addrs, charged)
+
+    def _charge(
         self,
         lat: np.ndarray,
-        hit_ops,
-        read_ops: np.ndarray,
-        read_keys: np.ndarray,
-        read_addrs: np.ndarray,
-        inst_keys: np.ndarray,
-        inst_addrs: np.ndarray,
-        wb_ops,
-        posted_dram_writes: int,
+        addrs: np.ndarray,
+        fills: np.ndarray,
+        victims: np.ndarray,
+        victim_addrs: np.ndarray,
+        charged: np.ndarray,
     ) -> np.ndarray:
-        """Fill per-op latencies and route spilled traffic downward.
+        """Set each fill's latency and add each charged victim's post
+        cost, sending the fills and posted victims below.
 
-        Float association matches the scalar model exactly:
-        ``(hit + fill) + writeback`` per op, so the cumsum total is
-        bit-identical to the sequential accumulation.
+        ``fills``, ``victims`` and ``charged`` (the victims of demand
+        ops, a subset of ``fills``) are ascending op positions.  Float
+        association matches the scalar model: ``(hit + fill) +
+        writeback`` per op.
         """
         hit_ns = self.config.hit_ns
-        if len(hit_ops):
-            lat[hit_ops] = hit_ns
-        n_reads = read_ops.shape[0]
         if self.next_level is not None:
-            lower = self._spill(read_addrs, read_keys, inst_addrs, inst_keys)
-            if n_reads:
-                lat[read_ops] = hit_ns + lower
-            if len(wb_ops):
-                lat[wb_ops] += self.next_level.config.hit_ns
-        else:
-            line_bytes = self.config.line_bytes
-            if n_reads:
-                fill = self.dram.read_lines(n_reads, line_bytes)
-                lat[read_ops] = hit_ns + fill
-            n_demand_wb = len(wb_ops)
-            if n_demand_wb:
-                wb_cost = self.dram.write_lines(n_demand_wb, line_bytes)
-                lat[wb_ops] += wb_cost
-            if posted_dram_writes:
-                self.dram.write_lines(posted_dram_writes, line_bytes)
+            lower = self._spill(fills, addrs[fills], victims, victim_addrs)
+            lat[fills] = hit_ns + lower
+            if charged.shape[0]:
+                lat[charged] += self.next_level.config.hit_ns
+            return lat
+        line_bytes = self.config.line_bytes
+        n_fills = fills.shape[0]
+        if n_fills:
+            lat[fills] = hit_ns + self.dram.read_lines(n_fills, line_bytes)
+        n_charged = charged.shape[0]
+        if n_charged:
+            lat[charged] += self.dram.write_lines(n_charged, line_bytes)
+        n_posted = victims.shape[0] - n_charged
+        if n_posted:
+            self.dram.write_lines(n_posted, line_bytes)
         return lat
 
     # -- next-level spill ----------------------------------------------
 
     def _spill(
         self,
-        read_addrs: np.ndarray,
-        read_keys: np.ndarray,
-        inst_addrs: np.ndarray,
-        inst_keys: np.ndarray,
+        fills: np.ndarray,
+        fill_addrs: np.ndarray,
+        victims: np.ndarray,
+        victim_addrs: np.ndarray,
     ) -> np.ndarray:
         """Send demand fills + posted victims below, in global order.
 
-        Keys are ``2 * op`` for demand fills and ``2 * op + 1`` for the
-        posted victim that op evicted, so one stable sort reconstructs
-        the exact traffic order the scalar model would generate.
-        Returns the next level's per-op latency for the demand fills,
-        aligned with ``read_addrs``.
+        ``fills`` and ``victims`` are ascending op positions, and an
+        op's fill goes before the victim it evicts, so merging the two
+        sorted runs rebuilds the exact traffic order the scalar model
+        would generate.  Returns the next level's per-op latency for
+        the demand fills, aligned with ``fills``.
         """
-        n_reads = read_addrs.shape[0]
-        if inst_addrs.shape[0] == 0:
-            if n_reads < 2 or (np.diff(read_keys) > 0).all():
-                return self.next_level._process(
-                    read_addrs, np.zeros(n_reads, dtype=np.int8)
-                )
-            ord1 = np.argsort(read_keys, kind="stable")
-            lower = self.next_level._process(
-                read_addrs[ord1], np.zeros(n_reads, dtype=np.int8)
+        n_fills = fills.shape[0]
+        n_victims = victims.shape[0]
+        if n_victims == 0:
+            return self.next_level._process(
+                fill_addrs, np.zeros(n_fills, dtype=np.int8)
             )
-            inv = np.empty(n_reads, dtype=np.int64)
-            inv[ord1] = np.arange(n_reads)
-            return lower[inv]
-        keys = np.concatenate([read_keys, inst_keys])
-        nl_addrs = np.concatenate([read_addrs, inst_addrs])
-        nl_kinds = np.concatenate(
-            [
-                np.zeros(n_reads, dtype=np.int8),
-                np.full(inst_addrs.shape[0], _INSTALL, dtype=np.int8),
-            ]
+        fill_at = np.arange(n_fills) + np.searchsorted(victims, fills)
+        victim_at = np.arange(n_victims) + np.searchsorted(
+            fills, victims, side="right"
         )
-        ord2 = np.argsort(keys, kind="stable")
-        lower = self.next_level._process(nl_addrs[ord2], nl_kinds[ord2])
-        inv = np.empty(ord2.shape[0], dtype=np.int64)
-        inv[ord2] = np.arange(ord2.shape[0])
-        return lower[inv[:n_reads]]
+        addrs = np.empty(n_fills + n_victims, dtype=np.int64)
+        addrs[fill_at] = fill_addrs
+        addrs[victim_at] = victim_addrs
+        kinds = np.full(n_fills + n_victims, _INSTALL, dtype=np.int8)
+        kinds[fill_at] = _READ
+        return self.next_level._process(addrs, kinds)[fill_at]
 
     # ------------------------------------------------------------------
     # Introspection / maintenance
@@ -1164,17 +1134,6 @@ class Cache:
 # Helpers
 
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-
-
-def _concat_i64(parts: List[np.ndarray]) -> np.ndarray:
-    if not parts:
-        return _EMPTY_I64
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
-
-
 def _as_line_array(lines: Union[range, np.ndarray, Iterable[int]]) -> np.ndarray:
     if isinstance(lines, np.ndarray):
         if lines.dtype == np.int64:
@@ -1242,17 +1201,25 @@ def _way_of(tagm: np.ndarray, rows, tag: np.ndarray) -> np.ndarray:
     return way
 
 
-def _lru_way(stampm: np.ndarray, rows) -> np.ndarray:
-    """First way with the smallest stamp in each of ``stampm[rows]``,
-    one pass per way column.  ``argmin``'s tie rule: invalid ways all
-    carry stamp 0, so the lowest-indexed invalid way is the victim."""
-    best = stampm[:, 0][rows]
-    way = np.zeros(best.shape[0], dtype=np.int64)
-    for w in range(1, stampm.shape[1]):
-        col = stampm[:, w][rows]
-        way[col < best] = w  # strict: a tie keeps the lower way
-        best = np.minimum(best, col)
-    return way
+def _touched_cell(
+    tagw: np.ndarray, stampw: np.ndarray, cell: np.ndarray, width: int, tag: np.ndarray
+) -> np.ndarray:
+    """Cell (``cell[way, set]``) each of the first ``width`` sets of the
+    way-major ``tagw``/``stampw`` touches for ``tag``: the way holding it,
+    else the victim, the first way with the smallest stamp (``argmin``'s
+    tie rule: invalid ways carry stamp 0, so the lowest invalid way goes
+    first).  One pass per way column for each of the two picks."""
+    idx = cell[0, :width].copy()
+    assoc = tagw.shape[0]
+    best = stampw[0, :width]
+    for w in range(1, assoc):
+        col = stampw[w, :width]
+        np.copyto(idx, cell[w, :width], where=col < best)  # a tie keeps the lower way
+        if w + 1 < assoc:
+            best = np.minimum(best, col)
+    for w in range(assoc - 1, -1, -1):
+        np.copyto(idx, cell[w, :width], where=tagw[w, :width] == tag)
+    return idx
 
 
 def _set_order(set_idx: np.ndarray, n_sets: int) -> np.ndarray:

@@ -25,6 +25,15 @@ import numpy as np
 # Processor-local operations
 
 
+def _require_elem_bytes(op) -> None:
+    """An element of no bytes touches no line; the expansions would
+    disagree on it, so a strided or indexed op refuses one."""
+    if op.elem_bytes <= 0:
+        raise ValueError(
+            f"{type(op).__name__}: elem_bytes must be positive, got {op.elem_bytes}"
+        )
+
+
 @dataclass(frozen=True)
 class Compute:
     """Retire ``ops`` compute instructions (ALU, branch, FP)."""
@@ -57,6 +66,8 @@ class StridedRead:
     stride_bytes: int
     elem_bytes: int = 4
 
+    __post_init__ = _require_elem_bytes
+
 
 @dataclass(frozen=True)
 class StridedWrite:
@@ -67,6 +78,8 @@ class StridedWrite:
     stride_bytes: int
     elem_bytes: int = 4
 
+    __post_init__ = _require_elem_bytes
+
 
 @dataclass(frozen=True)
 class GatherRead:
@@ -75,6 +88,8 @@ class GatherRead:
     addrs: Sequence[int]
     elem_bytes: int = 4
 
+    __post_init__ = _require_elem_bytes
+
 
 @dataclass(frozen=True)
 class ScatterWrite:
@@ -82,6 +97,8 @@ class ScatterWrite:
 
     addrs: Sequence[int]
     elem_bytes: int = 4
+
+    __post_init__ = _require_elem_bytes
 
 
 @dataclass(frozen=True)

@@ -159,8 +159,9 @@ class TestRegimeFlipDifferential:
 
 
 class TestWayColumnHelpers:
-    """``_way_of`` and ``_lru_way`` replace argmax/argmin over an
-    ``(n, assoc)`` matrix; they must pick the same way, ties included."""
+    """``_way_of`` and the rounds engine's ``_touched_cell`` replace
+    argmax/argmin over an ``(n, assoc)`` matrix; they must pick the same
+    way, ties included."""
 
     @pytest.mark.parametrize("assoc", [1, 2, 4, 8])
     def test_match_agrees_with_argmax(self, assoc):
@@ -176,11 +177,18 @@ class TestWayColumnHelpers:
 
     @pytest.mark.parametrize("assoc", [1, 2, 4, 8])
     def test_victim_agrees_with_argmin(self, assoc):
+        # Way-major state, as the rounds engine keeps it: the way holding
+        # the tag wins, else the first way with the smallest stamp.
         rng = np.random.default_rng(10 + assoc)
-        stampm = rng.integers(0, 4, size=(64, assoc))  # many ties
-        rows = rng.integers(0, 64, size=300)
-        want = stampm[rows].argmin(axis=1)
-        assert (cache_mod._lru_way(stampm, rows) == want).all()
+        stampw = rng.integers(0, 4, size=(assoc, 64))  # many ties
+        tagw = rng.integers(-1, 6, size=(assoc, 64))
+        cell = np.arange(assoc * 64).reshape(assoc, 64)
+        for width in (64, 37, 1):
+            tag = rng.integers(0, 12, size=width)  # about half absent
+            key = np.where(tagw[:, :width] == tag, -1, stampw[:, :width])
+            want = key.argmin(axis=0) * 64 + np.arange(width)
+            got = cache_mod._touched_cell(tagw, stampw, cell, width, tag)
+            assert (got == want).all(), width
 
     def test_hit_in_a_way_other_than_zero(self):
         tagm = np.array([[-1, 4, 9, -1, 2, 3, 5, 7]])
@@ -204,6 +212,13 @@ class TestWayColumnHelpers:
                 [3, 3, 1, 1, 2, 2, 1, 9],  # equal stamps: first of them
             ]
         )
-        rows = np.arange(4)
-        assert cache_mod._lru_way(stampm, rows).tolist() == [1, 0, 6, 2]
-        assert cache_mod._lru_way(stampm[:, :1], rows).tolist() == [0, 0, 0, 0]
+        stampw = np.ascontiguousarray(stampm.T)  # way-major
+        tagw = np.full(stampw.shape, -1)
+        tag = np.full(4, 100)  # resident nowhere: every set picks a victim
+
+        def victim_ways(tagw, stampw):
+            cell = np.arange(stampw.size).reshape(stampw.shape)
+            return (cache_mod._touched_cell(tagw, stampw, cell, 4, tag) // 4).tolist()
+
+        assert victim_ways(tagw, stampw) == [1, 0, 6, 2]
+        assert victim_ways(tagw[:1], stampw[:1]) == [0, 0, 0, 0]

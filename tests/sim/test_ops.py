@@ -1,11 +1,16 @@
 """Unit + property tests for line-address expansion of memory ops."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.ops import (
     SHORT_GATHER,
+    GatherRead,
+    ScatterWrite,
+    StridedRead,
+    StridedWrite,
     lines_for_block,
     lines_for_gather,
     lines_for_stride,
@@ -142,3 +147,29 @@ class TestExpansionProperties:
     def test_gather_has_no_consecutive_duplicates(self, addrs):
         lines = lines_for_gather(addrs, 4, 32)
         assert all(lines[i] != lines[i + 1] for i in range(len(lines) - 1))
+
+
+class TestElementWidthValidation:
+    """A non-positive ``elem_bytes`` has no lines; the expansions used to
+    disagree on it (``lines_for_gather([0, 64], 0, 32)`` gave ``[0, 2]``,
+    ``lines_for_stride`` gave ``[]``), so building such an op raises."""
+
+    @pytest.mark.parametrize("elem", [0, -1, -32])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda e: StridedRead(0, 2, 64, elem_bytes=e),
+            lambda e: StridedWrite(0, 2, 64, elem_bytes=e),
+            lambda e: GatherRead([0, 64], elem_bytes=e),
+            lambda e: ScatterWrite([0, 64], elem_bytes=e),
+        ],
+        ids=["StridedRead", "StridedWrite", "GatherRead", "ScatterWrite"],
+    )
+    def test_non_positive_elem_bytes_rejected(self, build, elem):
+        with pytest.raises(ValueError, match="elem_bytes must be positive"):
+            build(elem)
+
+    def test_positive_elem_bytes_accepted(self):
+        assert StridedRead(0, 2, 64, elem_bytes=1).elem_bytes == 1
+        assert GatherRead([0, 64]).elem_bytes == 4
+        assert ScatterWrite([0], elem_bytes=130).elem_bytes == 130
