@@ -27,8 +27,10 @@ from typing import Iterator, List, Mapping, Optional
 import numpy as np
 
 from repro.apps.base import (
-    PHASE_ACTIVATION,
-    PHASE_POST,
+    BEGIN_ACTIVATION,
+    BEGIN_POST,
+    END_ACTIVATION,
+    END_POST,
     Application,
     Partitioning,
     Table4Row,
@@ -205,7 +207,7 @@ class ArrayInsertApp(_ArrayAppBase):
                 carries[j + 1] = int(slices[j][-1])
 
         for j in pages:
-            yield O.BeginPhase(PHASE_ACTIVATION)
+            yield BEGIN_ACTIVATION
             if j < pages[-1]:
                 # Processor saves this page's boundary word (the carry
                 # into page j+1) BEFORE activating the page: reading it
@@ -217,7 +219,7 @@ class ArrayInsertApp(_ArrayAppBase):
             shifted = max(0, counts[j] - start_local - (1 if j == len(counts) - 1 else 0))
             task = PageTask.simple(shifted * SHIFT_CYCLES_PER_WORD)
             yield O.Activate(w.page_base(j) // w.page_bytes, self.descriptor_words, task)
-            yield O.EndPhase(PHASE_ACTIVATION)
+            yield END_ACTIVATION
             if w.functional:
                 sl = slices[j]
                 lo = start_local
@@ -225,7 +227,7 @@ class ArrayInsertApp(_ArrayAppBase):
                 sl[lo + 1 :] = tail
 
         for j in pages:
-            yield O.BeginPhase(PHASE_POST)
+            yield BEGIN_POST
             yield O.WaitPage(w.page_base(j) // w.page_bytes)
             if j > first_page:
                 yield O.ScatterWrite([self._word_addr(w, j * wpp)])
@@ -236,7 +238,7 @@ class ArrayInsertApp(_ArrayAppBase):
                     slices[j][pos - j * wpp] = self.VALUE
             yield O.MemRead(self._sync_addr(w, j), _WORD)
             yield O.Compute(115)  # size update, iterator fix-up
-            yield O.EndPhase(PHASE_POST)
+            yield END_POST
         if w.functional:
             w.results["array"] = self.logical_array(w).copy()
 
@@ -299,21 +301,21 @@ class ArrayDeleteApp(_ArrayAppBase):
                 carries[j - 1] = int(slices[j][0])
 
         for j in pages:
-            yield O.BeginPhase(PHASE_ACTIVATION)
+            yield BEGIN_ACTIVATION
             if j < pages[-1]:
                 yield O.GatherRead([self._word_addr(w, (j + 1) * wpp)])
             start_local = pos - j * wpp if j == first_page else 0
             shifted = max(0, counts[j] - start_local - 1)
             task = PageTask.simple(shifted * SHIFT_CYCLES_PER_WORD)
             yield O.Activate(w.page_base(j) // w.page_bytes, self.descriptor_words, task)
-            yield O.EndPhase(PHASE_ACTIVATION)
+            yield END_ACTIVATION
             if w.functional:
                 sl = slices[j]
                 lo = start_local
                 sl[lo:-1] = sl[lo + 1 :].copy()
 
         for j in pages:
-            yield O.BeginPhase(PHASE_POST)
+            yield BEGIN_POST
             yield O.WaitPage(w.page_base(j) // w.page_bytes)
             if j < pages[-1]:
                 yield O.ScatterWrite([self._word_addr(w, (j + 1) * wpp - 1)])
@@ -328,7 +330,7 @@ class ArrayDeleteApp(_ArrayAppBase):
             # Size update plus the destructor/iterator fix-up the STL
             # delete path performs per displaced block.
             yield O.Compute(235)
-            yield O.EndPhase(PHASE_POST)
+            yield END_POST
         if w.functional:
             w.results["array"] = self.logical_array(w).copy()
 
@@ -370,13 +372,13 @@ class ArrayFindApp(_ArrayAppBase):
 
         total_count = 0
         for j in range(len(counts)):
-            yield O.BeginPhase(PHASE_POST)
+            yield BEGIN_POST
             yield O.WaitPage(w.page_base(j) // w.page_bytes)
             # Read the page's result words and fold into the total,
             # plus per-page bookkeeping for the C++ count() caller.
             yield O.MemRead(self._sync_addr(w, j), 64)
             yield O.Compute(640)
-            yield O.EndPhase(PHASE_POST)
+            yield END_POST
             if w.functional:
                 total_count += page_counts[j]
         if w.functional:

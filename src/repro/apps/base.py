@@ -28,7 +28,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +40,13 @@ FAKE_BASE = 0x1000_0000
 
 PHASE_ACTIVATION = "activation"
 PHASE_POST = "post"
+
+#: Shared phase markers.  The ops are frozen, so every stream can yield
+#: these instances instead of building a marker per activation.
+BEGIN_ACTIVATION = O.BeginPhase(PHASE_ACTIVATION)
+END_ACTIVATION = O.EndPhase(PHASE_ACTIVATION)
+BEGIN_POST = O.BeginPhase(PHASE_POST)
+END_POST = O.EndPhase(PHASE_POST)
 
 
 class Partitioning(enum.Enum):
@@ -187,9 +194,8 @@ class Application(abc.ABC):
 
     def activate_page(
         self, page_no: int, task, descriptor_words: Optional[int] = None
-    ) -> Iterator[O.Op]:
-        """One activation wrapped in the T_A accounting phase."""
+    ) -> Tuple[O.Op, O.Op, O.Op]:
+        """One activation wrapped in the T_A accounting phase, as the
+        three ops a stream yields (``yield from``)."""
         words = self.descriptor_words if descriptor_words is None else descriptor_words
-        yield O.BeginPhase(PHASE_ACTIVATION)
-        yield O.Activate(page_no, words, task)
-        yield O.EndPhase(PHASE_ACTIVATION)
+        return (BEGIN_ACTIVATION, O.Activate(page_no, words, task), END_ACTIVATION)

@@ -21,7 +21,8 @@ from typing import Iterator, List, Mapping, Optional
 import numpy as np
 
 from repro.apps.base import (
-    PHASE_POST,
+    BEGIN_POST,
+    END_POST,
     Application,
     Partitioning,
     Table4Row,
@@ -188,12 +189,12 @@ class DatabaseApp(Application):
 
         total = 0
         for j in range(len(counts)):
-            yield O.BeginPhase(PHASE_POST)
+            yield BEGIN_POST
             yield O.WaitPage(w.page_base(j) // w.page_bytes)
             sync_addr = w.page_base(j) + w.page_bytes - SYNC_BYTES
             yield O.MemRead(sync_addr, 4)
             yield O.Compute(660)  # fold count, record block summary
-            yield O.EndPhase(PHASE_POST)
+            yield END_POST
             if w.functional:
                 total += page_matches[j]
         if w.functional:

@@ -24,8 +24,10 @@ from typing import Iterator, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.apps.base import (
-    PHASE_ACTIVATION,
-    PHASE_POST,
+    BEGIN_ACTIVATION,
+    BEGIN_POST,
+    END_ACTIVATION,
+    END_POST,
     Application,
     Partitioning,
     Workload,
@@ -168,7 +170,7 @@ class LCSApp(Application):
                 for i in range(max(0, step - chunks + 1), min(bands, step + 1))
             ]
             for band, chunk in active:
-                yield O.BeginPhase(PHASE_ACTIVATION)
+                yield BEGIN_ACTIVATION
                 segments = []
                 # This activation touches its halo row and the chunk's
                 # cell block — declared so the sanitizer's race detector
@@ -217,13 +219,13 @@ class LCSApp(Application):
                 yield O.Activate(
                     w.page_base(band) // w.page_bytes, self.descriptor_words, task
                 )
-                yield O.EndPhase(PHASE_ACTIVATION)
+                yield END_ACTIVATION
             # Wavefront barrier: the next anti-diagonal needs these done.
             for band, chunk in active:
-                yield O.BeginPhase(PHASE_POST)
+                yield BEGIN_POST
                 yield O.WaitPage(w.page_base(band) // w.page_bytes)
                 yield O.Compute(12)
-                yield O.EndPhase(PHASE_POST)
+                yield END_POST
         # Read the final corner cell (the LCS length), then backtrack.
         yield O.MemRead(w.page_base(bands - 1) + w.page_bytes - SYNC_BYTES, 4)
         yield from self._backtrack_stream(w)

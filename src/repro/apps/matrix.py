@@ -29,7 +29,8 @@ from typing import Iterator, List, Mapping, Optional
 import numpy as np
 
 from repro.apps.base import (
-    PHASE_POST,
+    BEGIN_POST,
+    END_POST,
     Application,
     Partitioning,
     Table4Row,
@@ -167,14 +168,14 @@ class _MatrixAppBase(Application):
             yield from self.activate_page(w.page_base(j) // w.page_bytes, task)
         for j, size in enumerate(sizes):
             m = size["m"]
-            yield O.BeginPhase(PHASE_POST)
+            yield BEGIN_POST
             yield O.WaitPage(w.page_base(j) // w.page_bytes)
             out = w.page_base(j) + w.page_bytes - SYNC_BYTES - 16 * max(m, 1)
             # Packed operand pairs: sequential cache-line blocks.
             yield O.MemRead(out, 16 * m)
             yield O.Compute(RADRAM_OPS_PER_MATCH * m)
             yield O.MemWrite(out, 8 * m)
-            yield O.EndPhase(PHASE_POST)
+            yield END_POST
 
 
 class MatrixSimplexApp(_MatrixAppBase):

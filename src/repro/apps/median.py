@@ -23,7 +23,8 @@ from typing import Iterator, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.apps.base import (
-    PHASE_POST,
+    BEGIN_POST,
+    END_POST,
     Application,
     Partitioning,
     Table4Row,
@@ -207,11 +208,11 @@ class MedianApp(Application):
 
         outputs = []
         for j, (first_row, n_rows) in enumerate(bands):
-            yield O.BeginPhase(PHASE_POST)
+            yield BEGIN_POST
             yield O.WaitPage(w.page_base(j) // w.page_bytes)
             yield O.MemRead(w.page_base(j) + w.page_bytes - SYNC_BYTES, 4)
             yield O.Compute(420)
-            yield O.EndPhase(PHASE_POST)
+            yield END_POST
             if w.functional:
                 outputs.append(self._filter_band(w, first_row, n_rows))
 

@@ -22,7 +22,8 @@ from typing import Iterator, List, Mapping, Optional
 import numpy as np
 
 from repro.apps.base import (
-    PHASE_POST,
+    BEGIN_POST,
+    END_POST,
     Application,
     Partitioning,
     Table4Row,
@@ -140,8 +141,8 @@ class MpegMMXApp(Application):
             task = radram_mmx_task(nbytes)
             yield from self.activate_page(w.page_base(j) // w.page_bytes, task)
         for j in range(len(per_page)):
-            yield O.BeginPhase(PHASE_POST)
+            yield BEGIN_POST
             yield O.WaitPage(w.page_base(j) // w.page_bytes)
             yield O.MemRead(w.page_base(j) + w.page_bytes - SYNC_BYTES, 4)
             yield O.Compute(300)  # select and queue the next instruction
-            yield O.EndPhase(PHASE_POST)
+            yield END_POST

@@ -54,7 +54,8 @@ class RADramMemorySystem(MemorySystemBase):
     def __init__(self, config: Optional[RADramConfig] = None) -> None:
         self.config = config or RADramConfig.reference()
         self.subarrays: Dict[int, Subarray] = {}
-        self.machine = None  # set by Machine via attach()
+        # The machine's bus, config and memory, set by attach().
+        self._bus = self._machine_config = self._memory = None
         # Min-heap of (block_time_ns, page_no) for pages awaiting service.
         self._blocked: List[Tuple[float, int]] = []
         self.comm_bytes: int = 0
@@ -73,8 +74,16 @@ class RADramMemorySystem(MemorySystemBase):
     # Machine wiring
 
     def attach(self, machine) -> None:
-        """Called by :class:`repro.sim.machine.Machine` at build time."""
-        self.machine = machine
+        """Called by :class:`repro.sim.machine.Machine` at build time.
+
+        Keeps the parts the handlers use rather than the machine: a
+        back reference would put every machine in a reference cycle,
+        so a finished one and its caches would stay allocated until
+        the cyclic collector next ran.
+        """
+        self._bus = machine.bus
+        self._machine_config = machine.config
+        self._memory = machine.memory
 
     def reset(self) -> None:
         """Forget all page executions (machine.reset_timing)."""
@@ -104,16 +113,16 @@ class RADramMemorySystem(MemorySystemBase):
         cost = activation_ns(
             op.descriptor_words,
             self.config,
-            self.machine.config.dram,
-            self.machine.config.bus,
+            self._machine_config.dram,
+            self._machine_config.bus,
             trace_ts=proc.now,
         )
         proc.stats.activations += 1
         proc.charge("activation_ns", cost)
         nbytes = 4 * op.descriptor_words
-        self.machine.bus.transfer(nbytes)
+        self._bus.transfer(nbytes)
         if self.faults is not None:
-            retry = self.faults.transfer_retry_ns(nbytes, self.machine.bus, proc.now)
+            retry = self.faults.transfer_retry_ns(nbytes, self._bus, proc.now)
             if retry:
                 proc.charge("activation_ns", retry)
             sub = self.subarray(op.page_no)
@@ -218,7 +227,7 @@ class RADramMemorySystem(MemorySystemBase):
         measures.  Functional copies still happen so results stay
         correct.
         """
-        proc.charge("compute_ns", self.machine.config.cpu.compute_ns(task.total_cycles))
+        proc.charge("compute_ns", self._machine_config.cpu.compute_ns(task.total_cycles))
         if self.faults is not None:
             self.faults.counters["degraded_activations"] += 1
         for request in task.comm_requests:
@@ -330,8 +339,8 @@ class RADramMemorySystem(MemorySystemBase):
             cost = service_ns(
                 request,
                 self.config,
-                self.machine.config.dram,
-                self.machine.config.bus,
+                self._machine_config.dram,
+                self._machine_config.bus,
                 batched=self.config.batch_interrupts and not first,
             )
             first = False
@@ -349,10 +358,10 @@ class RADramMemorySystem(MemorySystemBase):
                 tr.counter("radram", "comm_bytes", proc.now, self.comm_bytes)
             proc.charge("interrupt_ns", cost)
             service_bytes = 2 * request.nbytes
-            self.machine.bus.transfer(service_bytes)
+            self._bus.transfer(service_bytes)
             if self.faults is not None:
                 retry = self.faults.transfer_retry_ns(
-                    service_bytes, self.machine.bus, proc.now
+                    service_bytes, self._bus, proc.now
                 )
                 if retry:
                     proc.charge("interrupt_ns", retry)
@@ -364,7 +373,7 @@ class RADramMemorySystem(MemorySystemBase):
 
     def _functional_copy(self, request) -> None:
         """Perform the request's copy on the functional memory."""
-        memory = self.machine.memory
+        memory = self._memory
         try:
             memory.region_of(request.src_vaddr)
             memory.region_of(request.dst_vaddr)

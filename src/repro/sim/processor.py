@@ -19,22 +19,31 @@ the paper's processor-mediated communication.
 
 Execution
 ---------
-``run`` has one executor.  Straight-line segments between sync points
-(``Activate``/``WaitPage``/``ServicePending``/``FlushRange``) are
-buffered, their memory footprints expanded once and resolved by the
-cache in a single wide batch, and the per-op clock/stats charges
-replayed sequentially from the per-line latencies.  The fold order
-matches the per-op interpreter (``_step`` plus a ``poll`` per op)
-exactly, so ``MachineStats`` is bit-identical, not merely close
-(``tests/sim/test_batched_exec.py`` runs that interpreter as the
-reference oracle).
+``run`` has one executor.  A *stretch* is the run of straight-line ops
+between sync points (``Activate``/``WaitPage``/``ServicePending``/
+``FlushRange``).  In an unobserved run, while the L1D is in its dict
+regime, a stretch's ops are applied as they arrive — compute and
+phase charges directly, memory footprints through
+``Cache.access_lines`` — as long as the stretch's footprint stays
+within ``Cache._SMALL_BATCH`` lines, so every access is narrow and the
+L1D stays in that regime.  From the first memory op that would pass
+the bound, and from the start of a stretch that finds the L1D in its
+matrix regime or runs observed, the stretch is buffered up to its
+sync point: its memory footprints are expanded once and resolved by
+the cache in one wide batch per segment (``_flush_segment``), and the
+per-op clock/stats charges replayed sequentially from the per-line
+latencies.  Either way the fold order matches the per-op interpreter
+(``_step`` plus a ``poll`` per op) exactly, so ``MachineStats`` is
+bit-identical, not merely close (``tests/sim/test_batched_exec.py``
+runs that interpreter as the reference oracle).
 
-Polls are skipped inside a segment only while the memory system
+Polls are skipped inside a stretch only while the memory system
 reports no pending service work — while the blocked-page queue is
 empty, ``poll`` is by construction a no-op, so skipping it cannot
-change behaviour.  While a sync op leaves service pending, ops go
-through ``_step`` one at a time, each followed by a poll, until the
-queue drains.
+change behaviour.  Every sync op is followed by exactly the poll the
+per-op interpreter would make.  While a sync op leaves service
+pending, ops go through ``_step`` one at a time, each followed by a
+poll, until the queue drains.
 
 Instrumentation observes the same executor:
 
@@ -171,6 +180,12 @@ class Processor:
         #: ``charge`` reads this instead of the module attribute — one
         #: global lookup per run instead of one per charge.
         self._tr = _trace.TRACER
+        # Executor routing counters, summed over runs: fused segments
+        # flushed, ops applied as they arrived, ops run through
+        # ``_step``.  Plain ints, no stats role.
+        self.segments_fused = 0
+        self.ops_inline = 0
+        self.ops_stepped = 0
 
     # ------------------------------------------------------------------
     # Time charging helpers (used by the memory system too)
@@ -256,11 +271,16 @@ class Processor:
     def run(self, stream: Iterable[O.Op]) -> MachineStats:
         """Execute an op stream to completion; returns the stats.
 
-        Straight-line ops accumulate into a segment: Compute charges
-        are precomputed, memory ops expand their line footprints once.
-        ``_flush_segment`` resolves the footprint in one wide cache
-        batch and replays the per-op charges sequentially.  Sync ops
-        flush the segment; uninstrumented runs of Activate/WaitPage
+        Between sync points, an unobserved run applies ops as they
+        arrive while the L1D is in its dict regime and the stretch's
+        footprint fits one small batch.  From the first memory op that
+        would pass that bound (and for every straight-line op of an
+        observed run, or of a stretch that finds the L1D in its matrix
+        regime) the stretch accumulates into a segment: Compute charges
+        are precomputed, memory ops expand their line footprints once,
+        and ``_flush_segment`` resolves the footprint in one wide
+        cache batch and replays the per-op charges sequentially.  Sync
+        ops end the stretch; uninstrumented runs of Activate/WaitPage
         ops (with interleaved phase markers) go to the memory system's
         batch handlers, every other sync op through ``_step``.  While
         service is pending, or a live checker has spans in flight or
@@ -275,7 +295,10 @@ class Processor:
         poll = memsys.poll
         pending = memsys.has_pending_service
         step = self._step
-        line = self.l1d.config.line_bytes
+        l1d = self.l1d
+        access = l1d.access_lines
+        small = l1d._SMALL_BATCH
+        line = l1d.config.line_bytes
         compute_ns = self.config.cpu.compute_ns
         lines_for_block = O.lines_for_block
         lines_for_stride = O.lines_for_stride
@@ -292,6 +315,14 @@ class Processor:
         BeginPhase = O.BeginPhase
         EndPhase = O.EndPhase
         flush = self._flush_segment
+        stats = self.stats
+        d = stats.__dict__
+        stack = stats._phase_stack
+        phase_ns = stats.phase_ns
+        get = phase_ns.get
+        begin_phase = stats.begin_phase
+        end_phase = stats.end_phase
+        fused = inline = stepped = 0
 
         it = iter(stream)
         op = next(it, _SENTINEL)
@@ -303,21 +334,37 @@ class Processor:
             ):
                 step(op, ck, tr)
                 poll(self)
+                stepped += 1
                 op = next(it, _SENTINEL)
 
-            tags: list = []  # _ENT_* codes
-            vals: list = []  # ns / mem index / phase name, per entry
-            footprints: list = []  # line footprints of the segment's memory ops
-            writes: list = []  # per-footprint write flag
+            # Straight-line stretch.  ``tags is None`` while ops are
+            # applied as they arrive: the L1D stays in its dict regime
+            # (narrow accesses never leave it) and ``n_lines`` counts
+            # the stretch's footprint so far.  Once buffering starts it
+            # lasts to the sync point, across ``_SEGMENT_MAX_LINES``
+            # splits, and ``n_lines`` counts the segment's lines.
+            if observed or l1d._scalar_sets is None:
+                tags, vals, footprints, writes = [], [], [], []
+            else:
+                tags = None
             n_lines = 0
+            now = self.now
             while op is not _SENTINEL:
                 t = op.__class__
                 if t is Compute:
                     ns = compute_ns(op.ops)
                     if ns < 0:
-                        break  # ``_step`` raises once the segment is in
-                    tags.append(_ENT_COMPUTE)
-                    vals.append(ns)
+                        break  # ``_step`` raises once the stretch is done
+                    if tags is None:
+                        d["compute_ns"] += ns
+                        now += ns
+                        if stack:
+                            p = stack[-1]
+                            phase_ns[p] = get(p, 0.0) + ns
+                        inline += 1
+                    else:
+                        tags.append(_ENT_COMPUTE)
+                        vals.append(ns)
                     op = next(it, _SENTINEL)
                     continue
                 w = True
@@ -341,57 +388,88 @@ class Processor:
                 elif t is ScatterWrite:
                     fp = lines_for_gather(op.addrs, op.elem_bytes, line)
                 elif t is BeginPhase:
-                    tags.append(_ENT_BEGIN)
-                    vals.append(op.name)
+                    if tags is None:
+                        begin_phase(op.name)
+                        inline += 1
+                    else:
+                        tags.append(_ENT_BEGIN)
+                        vals.append(op.name)
                     op = next(it, _SENTINEL)
                     continue
                 elif t is EndPhase:
-                    tags.append(_ENT_END)
-                    vals.append(op.name)
+                    if tags is None:
+                        end_phase(op.name)
+                        inline += 1
+                    else:
+                        tags.append(_ENT_END)
+                        vals.append(op.name)
                     op = next(it, _SENTINEL)
                     continue
                 else:
                     break  # sync point
+                n_lines += len(fp)
+                if tags is None:
+                    if n_lines <= small:
+                        ns = access(fp, w)
+                        d["mem_ns"] += ns
+                        now += ns
+                        if stack:
+                            p = stack[-1]
+                            phase_ns[p] = get(p, 0.0) + ns
+                        inline += 1
+                        op = next(it, _SENTINEL)
+                        continue
+                    # Past one small batch: buffer from here on.
+                    self.now = now
+                    tags, vals, footprints, writes = [], [], [], []
+                    n_lines = len(fp)
                 tags.append(_ENT_MEM)
                 vals.append(len(footprints))
                 footprints.append(fp)
                 writes.append(w)
-                n_lines += len(fp)
                 if n_lines >= _SEGMENT_MAX_LINES:
                     flush(tags, vals, footprints, writes, n_lines, ck, tr)
+                    fused += 1
                     tags, vals, footprints, writes, n_lines = [], [], [], [], 0
                 op = next(it, _SENTINEL)
-            if tags:
+            if tags is None:
+                self.now = now
+            elif tags:
                 flush(tags, vals, footprints, writes, n_lines, ck, tr)
+                fused += 1
             if op is _SENTINEL:
                 break
             t = op.__class__
             if observed or not (t is Activate or t is WaitPage):
                 step(op, ck, tr)
+                stepped += 1
                 op = next(it, _SENTINEL)
-            else:
-                run_ops = [op]
+                if needs_poll:
+                    poll(self)
+                continue
+            run_ops = [op]
+            op = next(it, _SENTINEL)
+            cls = op.__class__
+            while cls is t or cls is BeginPhase or cls is EndPhase:
+                run_ops.append(op)
                 op = next(it, _SENTINEL)
                 cls = op.__class__
-                while cls is t or cls is BeginPhase or cls is EndPhase:
-                    run_ops.append(op)
-                    op = next(it, _SENTINEL)
-                    cls = op.__class__
-                if t is Activate:
-                    done = memsys.handle_activate_batch(run_ops, self)
-                else:
-                    done = memsys.handle_wait_batch(run_ops, self)
-                # Pending service stopped the batch: finish the rest of
-                # the run per op.
-                while done < len(run_ops):
-                    step(run_ops[done], ck, tr)
-                    poll(self)
-                    done += 1
-            if needs_poll:
-                # One poll per op, like the per-op loop; polls in
-                # excess of that are provably no-ops (the queue head
-                # cannot have become due without the clock moving).
+            if t is Activate:
+                done = memsys.handle_activate_batch(run_ops, self)
+            else:
+                done = memsys.handle_wait_batch(run_ops, self)
+            # The poll after the last op consumed; the ones before it
+            # had an empty queue to look at.  Pending service stopped
+            # the batch early: finish the run per op.
+            poll(self)
+            while done < len(run_ops):
+                step(run_ops[done], ck, tr)
                 poll(self)
+                stepped += 1
+                done += 1
+        self.segments_fused += fused
+        self.ops_inline += inline
+        self.ops_stepped += stepped
         memsys.on_run_end(self)
         self.stats.total_ns = self.now
         return self.stats

@@ -12,8 +12,13 @@ explicit ``HarnessSettings``/``cache_dir``.
 import signal
 
 import pytest
+from hypothesis import settings
 
 from repro.experiments import harness
+
+#: A deeper example budget for CI's fuzz job, selected with
+#: ``pytest --hypothesis-profile=deep``; tier-1 runs keep the default.
+settings.register_profile("deep", max_examples=1000)
 
 #: Per-test wall-clock deadline (seconds).  A safety net against hung
 #: tests (deadlocked pools, un-preempted sleeps) — generous enough that

@@ -216,3 +216,43 @@ class TestOneDispatchPath:
         assert [id(op) for op in seen] == [id(op) for op in expected]
         assert stats.activations == 15
         assert stats.interrupts > 0
+
+
+class TestMachineLifetime:
+    def test_finished_machine_needs_no_cyclic_collection(self):
+        """The memory system keeps the machine's parts, not the
+        machine: a finished RADram machine (caches, pages and all) is
+        freed as soon as its last reference goes."""
+        import gc
+        import weakref
+
+        from repro.apps.registry import get_app
+        from repro.experiments.runner import run_radram
+        from repro.faults.models import FaultConfig
+
+        made = []
+        orig = Machine.__init__
+
+        def init(self, *args, **kwargs):
+            orig(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            Machine.__init__ = init
+            run_radram(get_app("array-insert"), 2.0, seed=0)
+            run_radram(
+                get_app("dynamic-prog"),
+                2.0,
+                seed=0,
+                radram_config=RADramConfig.reference().with_faults(FaultConfig()),
+            )
+            # Read before the collector is back: re-enabling it lets the
+            # next allocation collect any cycle.
+            alive = [ref() is not None for ref in made]
+        finally:
+            Machine.__init__ = orig
+            if enabled:
+                gc.enable()
+        assert alive == [False, False]

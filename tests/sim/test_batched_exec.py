@@ -34,7 +34,7 @@ from repro.sim import ops as O
 from repro.sim.cache import Cache
 from repro.sim.machine import Machine
 from repro.sim.memory import PagedMemory
-from repro.sim.processor import Processor
+from repro.sim.processor import _SEGMENT_MAX_LINES, Processor
 from repro.sim.processor_reference import per_op_reference
 from repro.trace import events as trace_events
 
@@ -226,8 +226,11 @@ def radram_streams(draw):
 # Differential properties
 
 
+#: The differential properties are the suite's slowest, so each takes
+#: 60% of the loaded profile's example budget: 60 under the default
+#: profile, more under ``--hypothesis-profile=deep`` (tests/conftest.py).
 _DIFF_SETTINGS = settings(
-    max_examples=60,
+    max_examples=max(1, settings.default.max_examples * 3 // 5),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -246,11 +249,28 @@ class TestBatchedMatchesScalar:
         batched, scalar = _run_both(ops, _conventional_machine)
         _assert_identical(batched, scalar)
 
-    @_DIFF_SETTINGS
-    @given(ops=radram_streams())
-    def test_batched_regime_actually_engages(self, ops):
-        """Guard against a vacuous pass: production must fuse segments
-        and the reference must not."""
+    def test_batched_regime_actually_engages(self):
+        """Guard against a vacuous pass, both ways: narrow RADram
+        stretches are applied as they arrive and never reach
+        ``_flush_segment``, a wide stretch still fuses, and the per-op
+        reference fuses nothing."""
+        first = 0x100000 // PAGE_BYTES
+
+        def narrow(i):
+            return [
+                O.Compute(40),
+                O.BeginPhase("post"),
+                O.MemRead(0x100000 + (i * 320) % DATA_SPAN, 256),
+                O.EndPhase("post"),
+                O.Compute(8),
+            ]
+
+        ops = []
+        for i in range(8):
+            ops += [O.Activate(first + i % N_PAGES, 2, PageTask.simple(200.0))]
+            ops += narrow(i)
+            ops += [O.WaitPage(first + i % N_PAGES)]
+        wide = [O.MemRead(0x100000 + i * 512, 512) for i in range(N_PAGES * 8 - 1)]
         calls = []
         orig = Processor._flush_segment
 
@@ -261,15 +281,105 @@ class TestBatchedMatchesScalar:
         Processor._flush_segment = spy
         try:
             machine, _ = _radram_machine()
-            machine.run(iter([O.Compute(1)] + list(ops)))
-            assert calls, "production run fused no segment"
+            machine.run(iter(narrow(99)))  # a fresh L1D buffers once
+            assert machine.l1d._scalar_sets is not None
+            calls.clear()
+            proc = machine.processor
+            inline = proc.ops_inline
+            machine.run(iter(ops))
+            assert not calls, "a narrow stretch reached _flush_segment"
+            assert proc.ops_inline - inline == 5 * 8
+            machine.run(iter(wide))
+            assert calls, "a wide stretch fused no segment"
             calls.clear()
             machine, _ = _radram_machine()
             with per_op_reference():
-                machine.run(iter(list(ops)))
+                machine.run(iter(ops + wide))
             assert not calls, "the per-op reference fused a segment"
         finally:
             Processor._flush_segment = orig
+
+
+class TestStreamedStretches:
+    """Where the executor stops applying ops as they arrive: the rest
+    of a stretch wider than one small batch, and a whole stretch that
+    finds the L1D in its matrix regime, are buffered into fused
+    segments, so no narrow access flips a matrix-regime cache to
+    dicts."""
+
+    def _matrix_machine(self):
+        machine, _ = _conventional_machine()
+        wide = 1024 * machine.l1d.config.line_bytes
+        machine.run(iter([O.MemRead(0x100000, wide)]))  # one wide batch
+        assert machine.l1d._scalar_sets is None
+        return machine, wide
+
+    def _regime_counts(self, machine):
+        l1, l2 = machine.l1d, machine.l2
+        return l1.dict_entries, l1.dict_exits, l2.dict_entries, l2.dict_exits
+
+    def test_split_segment_keeps_buffering(self):
+        """A stretch longer than ``_SEGMENT_MAX_LINES`` flushes at the
+        split and buffers on: the narrow ops right after the split fuse
+        into one more wide batch instead of walking the dict regime."""
+        machine, wide = self._matrix_machine()
+        big = [
+            O.MemRead(0x100000 + i * wide, wide)
+            for i in range(_SEGMENT_MAX_LINES // 1024)
+        ]
+        narrow = [O.MemWrite(0x100000 + i * 4096, 256) for i in range(20)]
+        ops = big + narrow
+        before = self._regime_counts(machine)
+        proc = machine.processor
+        machine.run(iter(ops))
+        assert self._regime_counts(machine) == before
+        assert proc.segments_fused == 3  # the warm-up, the split, the rest
+        assert proc.ops_inline == 0
+        ref, _ = self._matrix_machine()
+        with per_op_reference():
+            ref.run(iter(ops))
+        _assert_identical(
+            _snapshot(machine, machine.processor.stats),
+            _snapshot(ref, ref.processor.stats),
+        )
+
+    def test_narrow_op_in_matrix_regime_is_buffered(self):
+        """With the L1D in its matrix regime, even the first narrow op
+        of a stretch is buffered: the stretch fuses into one wide batch
+        and the caches keep their regime."""
+        ops = [O.MemRead(0x100000 + i * 4096, 256) for i in range(20)]
+        machine, _ = self._matrix_machine()
+        before = self._regime_counts(machine)
+        proc = machine.processor
+        fused = proc.segments_fused
+        machine.run(iter(ops))
+        assert self._regime_counts(machine) == before
+        assert proc.segments_fused == fused + 1
+        assert proc.ops_inline == 0
+
+    def test_stretch_past_small_batch_fuses_the_rest(self):
+        """In the dict regime, ops apply as they arrive until the
+        stretch's footprint would pass ``_SMALL_BATCH``; the rest of
+        the stretch fuses."""
+        machine, _ = _conventional_machine()
+        machine.run(iter([O.MemRead(0x100000, 64)]))
+        proc = machine.processor
+        inline, fused = proc.ops_inline, proc.segments_fused
+        small = machine.l1d._SMALL_BATCH
+        nbytes = 8 * machine.l1d.config.line_bytes
+        n_fit = small // 8
+        ops = [O.MemRead(0x100000 + i * nbytes, nbytes) for i in range(n_fit + 5)]
+        machine.run(iter(ops))
+        assert proc.ops_inline - inline == n_fit
+        assert proc.segments_fused - fused == 1
+        ref, _ = _conventional_machine()
+        with per_op_reference():
+            ref.run(iter([O.MemRead(0x100000, 64)]))
+            ref.run(iter(ops))
+        _assert_identical(
+            _snapshot(machine, machine.processor.stats),
+            _snapshot(ref, ref.processor.stats),
+        )
 
 
 class TestRegimeFlip:
@@ -303,6 +413,60 @@ class TestRegimeFlip:
         batched, scalar = _run_both(ops, _radram_machine)
         _assert_identical(batched, scalar)
         assert batched["stats"]["interrupts"] > 0
+
+    @pytest.mark.parametrize("faults", [None, FaultConfig()], ids=["plain", "zero-rate-faults"])
+    def test_batch_hook_stop_polls_like_per_op(self, faults):
+        """The activate hook stops once page 3 blocks, and pages 4 and
+        5 are stepped with a poll each.  The poll after page 5 services
+        page 3, which moves the clock past page 5's request; one more
+        poll after the run would service page 5 before the ``Compute``
+        instead of after it (``wait_ns`` 200 against the per-op
+        reference's 250)."""
+        first = 0x100000 // PAGE_BYTES
+
+        def comm(cycles):
+            return PageTask.of(
+                [
+                    Segment(
+                        cycles,
+                        CommRequest(nbytes=1, src_vaddr=0x100000, dst_vaddr=0x100000),
+                    ),
+                    Segment(5.0),
+                ]
+            )
+
+        plain = PageTask.simple(10.0)
+        ops = [O.Activate(first, 1, plain), O.WaitPage(first)] * 2
+        ops += [
+            O.Activate(first, 1, plain),
+            O.Activate(first + 1, 5, plain),
+            O.Activate(first + 2, 4, plain),
+            O.Activate(first + 3, 1, comm(74.0)),
+            O.Activate(first + 4, 5, plain),
+            O.Activate(first + 5, 2, comm(10.0)),
+            O.Compute(1150),
+        ]
+        ops += [O.WaitPage(first + p) for p in range(N_PAGES)]
+        snaps, services = [], []
+        orig = RADramMemorySystem._service_pending
+
+        def spy(self, proc, force_page=None):
+            services[-1].append((proc.now, force_page))
+            return orig(self, proc, force_page)
+
+        RADramMemorySystem._service_pending = spy
+        try:
+            for reference in (False, True):
+                services.append([])
+                machine, _ = _radram_machine(faults)
+                with per_op_reference() if reference else contextlib.nullcontext():
+                    stats = machine.run(iter(ops))
+                snaps.append(_snapshot(machine, stats))
+        finally:
+            RADramMemorySystem._service_pending = orig
+        assert services[0] == services[1]
+        _assert_identical(*snaps)
+        assert snaps[0]["stats"]["wait_ns"] == 250.0
 
     @_DIFF_SETTINGS
     @given(flips=st.lists(st.booleans(), min_size=2, max_size=5))
