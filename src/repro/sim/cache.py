@@ -66,9 +66,8 @@ replaying the batch through the scalar model one line at a time:
 
 * sets are independent, so per-set resolution order cannot change
   decisions; the *inter-set* order of next-level traffic is preserved
-  because demand fills and posted victims are both listed by op
-  position, ascending, and merged with each op's fill ahead of the
-  victim it evicts;
+  because demand fills and posted victims are both placed by op
+  position, each op's fill ahead of the victim it evicts;
 * an all-hit batch cannot evict, so pre-state membership decides it;
 * in a distinct cold batch no install is ever re-touched, so eviction
   order is the FIFO concatenation used by the segmented fast path;
@@ -433,20 +432,21 @@ class Cache:
         self,
         line_arrays: List[Union[range, List[int], np.ndarray]],
         write_flags: List[bool],
+        counts: List[int],
     ) -> np.ndarray:
         """Resolve several ops' line sequences in one fused pass.
 
-        Returns the **per-line** latency array in global order; the
-        caller folds each op's slice left-to-right, which reproduces
-        separate :meth:`access_lines` totals bit-identically (the
-        scalar accumulation and ``cumsum`` share the same association
-        order).  A live tracer gets one batch event for the whole call.
+        ``counts`` gives each sequence's length, which the caller
+        already knows.  Returns the **per-line** latency array in
+        global order; the caller folds each op's slice left-to-right,
+        which reproduces separate :meth:`access_lines` totals
+        bit-identically (the scalar accumulation and ``cumsum`` share
+        the same association order).  A live tracer gets one batch event for the whole call.
         The sanitizer's stale-sync hook is not consulted: the processor
         fuses ops only while the checker watches no line, when
         :meth:`~repro.check.runtime.Checker.on_cache_batch` has nothing
         to resolve.
         """
-        counts = [len(a) for a in line_arrays]
         addrs = _concat_lines(line_arrays, counts)
         kinds = np.repeat(
             np.array(
@@ -629,16 +629,12 @@ class Cache:
         self._occ[uniq] = occ_final
 
         # Every op is a demand fill; dirty victims follow their op as
-        # posted installs, in stream order.
-        n_wb = int(np.count_nonzero(victim_dirty))
+        # posted installs.  They are listed in set order: the spill
+        # places each by its op position, so no sort is needed.
         self.stats.misses += n
-        self.stats.writebacks += n_wb
+        self.stats.writebacks += int(np.count_nonzero(victim_dirty))
         victims = order[victim_dirty]
         victim_addrs = victim_tag[victim_dirty] * n_sets + s_sorted[victim_dirty]
-        if n_wb > 1:
-            by_op = np.argsort(victims)
-            victims = victims[by_op]
-            victim_addrs = victim_addrs[by_op]
         fills = np.arange(n, dtype=np.int64)
         return self._charge(np.empty(n), addrs, fills, victims, victim_addrs, victims)
 
@@ -905,14 +901,16 @@ class Cache:
         """Set each fill's latency and add each charged victim's post
         cost, sending the fills and posted victims below.
 
-        ``fills``, ``victims`` and ``charged`` (the victims of demand
-        ops, a subset of ``fills``) are ascending op positions.  Float
-        association matches the scalar model: ``(hit + fill) +
-        writeback`` per op.
+        ``fills`` (ascending), ``victims`` and ``charged`` (the victims
+        of demand ops, a subset of ``fills``) are op positions; the
+        victims may come in any order.  Float association matches the
+        scalar model: ``(hit + fill) + writeback`` per op.
         """
         hit_ns = self.config.hit_ns
         if self.next_level is not None:
-            lower = self._spill(fills, addrs[fills], victims, victim_addrs)
+            lower = self._spill(
+                addrs.shape[0], fills, addrs[fills], victims, victim_addrs
+            )
             lat[fills] = hit_ns + lower
             if charged.shape[0]:
                 lat[charged] += self.next_level.config.hit_ns
@@ -933,6 +931,7 @@ class Cache:
 
     def _spill(
         self,
+        n: int,
         fills: np.ndarray,
         fill_addrs: np.ndarray,
         victims: np.ndarray,
@@ -940,11 +939,13 @@ class Cache:
     ) -> np.ndarray:
         """Send demand fills + posted victims below, in global order.
 
-        ``fills`` and ``victims`` are ascending op positions, and an
-        op's fill goes before the victim it evicts, so merging the two
-        sorted runs rebuilds the exact traffic order the scalar model
-        would generate.  Returns the next level's per-op latency for
-        the demand fills, aligned with ``fills``.
+        ``fills`` (ascending) and ``victims`` (any order) are positions
+        among the batch's ``n`` ops.  The scalar model sends each op's
+        fill, then the victim it evicts, op by op.  An op sends at most
+        those two lines, so one prefix count of lines per op position
+        places every fill and victim in that order, with no sort or
+        search.  Returns the next level's per-op latency for the demand
+        fills, aligned with ``fills``.
         """
         n_fills = fills.shape[0]
         n_victims = victims.shape[0]
@@ -952,10 +953,7 @@ class Cache:
             return self.next_level._process(
                 fill_addrs, np.zeros(n_fills, dtype=np.int8)
             )
-        fill_at = np.arange(n_fills) + np.searchsorted(victims, fills)
-        victim_at = np.arange(n_victims) + np.searchsorted(
-            fills, victims, side="right"
-        )
+        fill_at, victim_at = _traffic_slots(n, fills, victims)
         addrs = np.empty(n_fills + n_victims, dtype=np.int64)
         addrs[fill_at] = fill_addrs
         addrs[victim_at] = victim_addrs
@@ -1162,6 +1160,23 @@ def _concat_lines(parts: list, counts: List[int]) -> np.ndarray:
         rest = [_as_line_array(p) for p, r in zip(parts, is_range) if not r]
         addrs[np.repeat(np.logical_not(is_range), cnt)] = np.concatenate(rest)
     return addrs
+
+
+def _traffic_slots(
+    n: int, fills: np.ndarray, victims: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Slots of each fill and victim in the merged next-level traffic.
+
+    Op by op, a fill goes first and its victim second: one prefix count
+    of the lines each of the ``n`` ops sends places both.  A function of
+    its own, so the ``n``-sized counts are freed before the next level
+    resolves the traffic.
+    """
+    sent = np.zeros(n, dtype=np.int8)
+    sent[fills] = 1
+    sent[victims] += 1
+    end = np.cumsum(sent, dtype=np.int64)  # one past each op's last line
+    return end[fills] - sent[fills], end[victims] - 1
 
 
 def _all_distinct(addrs: np.ndarray) -> bool:

@@ -93,21 +93,36 @@ def _fold_slices(lat: np.ndarray, counts: List[int]) -> List[float]:
     """Left-to-right float sum of each consecutive ``counts`` slice.
 
     ``sum()`` will not do: from Python 3.12 it compensates rounding.
-    Slices are grouped by bit length into zero-padded matrix rows
-    (``x + 0.0 == x``); ``np.add.accumulate`` along a row is strictly
-    sequential, so each row's last column is the per-op fold.
+    Slices are grouped by bit length into matrix rows as wide as the
+    group's widest slice, shorter ones zero-padded (``x + 0.0 == x``);
+    ``np.add.accumulate`` along a row is strictly sequential, so each
+    row's last column is the per-op fold.  A group of equal widths
+    needs no padding, and one whose slices also lie back to back (a
+    segment of same-sized blocks, the common shape) is a reshaped view
+    of ``lat`` with no gather at all.
     """
     cnt = np.array(counts, dtype=np.int64)
     starts = np.cumsum(cnt) - cnt
-    ext = np.append(lat, 0.0)  # index len(lat) pads
     bits = np.frexp(cnt)[1]  # bit length; 0 for an empty slice
     out = np.zeros(cnt.shape[0])
+    ext = None
     for b in np.unique(bits[bits > 0]).tolist():
         rows = np.flatnonzero(bits == b)
-        cols = np.arange((1 << b) - 1)
-        idx = starts[rows, None] + cols
-        idx[cols >= cnt[rows, None]] = lat.shape[0]
-        out[rows] = np.add.accumulate(ext[idx], axis=1)[:, -1]
+        widths = cnt[rows]
+        width = int(widths.max())
+        first = int(starts[rows[0]])
+        if int(widths.min()) < width:
+            if ext is None:
+                ext = np.append(lat, 0.0)  # index len(lat) pads
+            cols = np.arange(width)
+            idx = starts[rows, None] + cols
+            idx[cols >= widths[:, None]] = lat.shape[0]
+            grid = ext[idx]
+        elif int(starts[rows[-1]]) - first == (rows.shape[0] - 1) * width:
+            grid = lat[first : first + rows.shape[0] * width].reshape(-1, width)
+        else:
+            grid = lat[starts[rows, None] + np.arange(width)]
+        out[rows] = np.add.accumulate(grid, axis=1)[:, -1]
     return out.tolist()
 
 
@@ -344,7 +359,7 @@ class Processor:
             # lasts to the sync point, across ``_SEGMENT_MAX_LINES``
             # splits, and ``n_lines`` counts the segment's lines.
             if observed or l1d._scalar_sets is None:
-                tags, vals, footprints, writes = [], [], [], []
+                tags, vals, footprints, writes, counts = [], [], [], [], []
             else:
                 tags = None
             n_lines = 0
@@ -407,7 +422,8 @@ class Processor:
                     continue
                 else:
                     break  # sync point
-                n_lines += len(fp)
+                k = len(fp)
+                n_lines += k
                 if tags is None:
                     if n_lines <= small:
                         ns = access(fp, w)
@@ -421,21 +437,23 @@ class Processor:
                         continue
                     # Past one small batch: buffer from here on.
                     self.now = now
-                    tags, vals, footprints, writes = [], [], [], []
-                    n_lines = len(fp)
+                    tags, vals, footprints, writes, counts = [], [], [], [], []
+                    n_lines = k
                 tags.append(_ENT_MEM)
                 vals.append(len(footprints))
                 footprints.append(fp)
                 writes.append(w)
+                counts.append(k)
                 if n_lines >= _SEGMENT_MAX_LINES:
-                    flush(tags, vals, footprints, writes, n_lines, ck, tr)
+                    flush(tags, vals, footprints, writes, counts, n_lines, ck, tr)
                     fused += 1
-                    tags, vals, footprints, writes, n_lines = [], [], [], [], 0
+                    tags, vals, footprints, writes, counts = [], [], [], [], []
+                    n_lines = 0
                 op = next(it, _SENTINEL)
             if tags is None:
                 self.now = now
             elif tags:
-                flush(tags, vals, footprints, writes, n_lines, ck, tr)
+                flush(tags, vals, footprints, writes, counts, n_lines, ck, tr)
                 fused += 1
             if op is _SENTINEL:
                 break
@@ -480,23 +498,25 @@ class Processor:
         vals: list,
         footprints: list,
         writes: list,
+        counts: List[int],
         n_lines: int,
         ck,
         tr,
     ) -> None:
         """Resolve one fused segment and replay its charges in order.
 
-        Memory latencies come from one wide cache batch; each op's
-        total is folded left-to-right over its slice of the per-line
-        latency array — the same association order as ``_step``'s
-        per-op accumulation, hence bit-identical.  Clock and stats
-        updates are then applied sequentially per entry (float
+        ``counts`` holds each footprint's line count, ``n_lines`` their
+        sum.  Memory latencies come from one wide cache batch; each
+        op's total is folded left-to-right over its slice of the
+        per-line latency array — the same association order as
+        ``_step``'s per-op accumulation, hence bit-identical.  Clock and
+        stats updates are then applied sequentially per entry (float
         addition is not associative, so they cannot be collapsed).
         """
         l1d = self.l1d
         if len(footprints) > 1 and n_lines > l1d._SMALL_BATCH:
-            lat = l1d.access_lines_batch(footprints, writes)
-            mem_totals = _fold_slices(lat, [len(fp) for fp in footprints])
+            lat = l1d.access_lines_batch(footprints, writes, counts)
+            mem_totals = _fold_slices(lat, counts)
         else:
             access = l1d.access_lines
             mem_totals = [access(fp, w) for fp, w in zip(footprints, writes)]

@@ -29,9 +29,12 @@ from repro.check import runtime as check_runtime
 from repro.core.functions import CommRequest, PageTask, Segment
 from repro.faults.models import FaultConfig
 from repro.radram.config import RADramConfig
+from repro.radram.dispatch import activation_ns
+from repro.radram.interpage import service_ns
 from repro.radram.system import RADramMemorySystem
 from repro.sim import ops as O
 from repro.sim.cache import Cache
+from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.memory import PagedMemory
 from repro.sim.processor import _SEGMENT_MAX_LINES, Processor
@@ -219,6 +222,73 @@ def radram_streams(draw):
         if phase_burst:
             ops.append(O.EndPhase("post"))
     ops += draw(_straightline(max_size=6))
+    return ops
+
+
+def _blocking_task(cycles, tail_cycles, reblock=None):
+    """Compute ``cycles``, block on a one-line inter-page copy, compute
+    ``tail_cycles``; ``reblock`` (cycles) blocks once more after that."""
+    base = 0x100000
+
+    def comm():
+        return CommRequest(nbytes=32, src_vaddr=base, dst_vaddr=base + 8 * KB)
+
+    segments = [Segment(cycles, comm())]
+    if reblock is not None:
+        segments.append(Segment(reblock, comm()))
+    segments.append(Segment(tail_cycles))
+    return PageTask.of(segments)
+
+
+@st.composite
+def close_block_streams(draw):
+    """Activation bursts whose comm pages block within one interrupt
+    service of each other.
+
+    Servicing one blocked page moves the clock past the next page's
+    request, so which op each service lands after depends on every
+    poll's exact placement.  Generic streams almost never build this:
+    each comm page's block time is drawn as a common target plus less
+    than one service time, and its compute cycles are derived from the
+    activation costs before it.
+    """
+    cfg = RADramConfig.reference().with_page_bytes(PAGE_BYTES)
+    mc = MachineConfig.reference()
+    cycle_ns = cfg.logic_cycle_ns
+    service = service_ns(
+        CommRequest(nbytes=32, src_vaddr=0, dst_vaddr=0), cfg, mc.dram, mc.bus
+    )
+    first = 0x100000 // PAGE_BYTES
+    pages = draw(st.permutations(range(N_PAGES)))[: draw(st.integers(2, N_PAGES))]
+    n_comm = draw(st.integers(2, len(pages)))
+    comm_pages = set(draw(st.permutations(pages))[:n_comm])
+    words = [draw(st.integers(1, 8)) for _ in pages]
+    done_at = []  # activation end times, from a clock of 0
+    t = 0.0
+    for w in words:
+        t += activation_ns(w, cfg, mc.dram, mc.bus)
+        done_at.append(t)
+    target = t + draw(st.floats(-0.5, 2.0)) * service
+    ops = []
+    for p, w, end in zip(pages, words, done_at):
+        if p in comm_pages:
+            block = target + draw(st.floats(0.0, 1.0)) * service
+            cycles = max(1.0, (block - end) / cycle_ns)
+            reblock = draw(st.one_of(st.none(), st.floats(1.0, service / cycle_ns)))
+            task = _blocking_task(cycles, draw(st.floats(1.0, 200.0)), reblock)
+        else:
+            task = PageTask.simple(draw(st.floats(10.0, 500.0)))
+        ops.append(O.Activate(first + p, w, task))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            ops.append(O.Compute(draw(st.integers(1, 3000))))
+        elif kind == 1:
+            addr = 0x100000 + draw(_addrs)
+            ops.append(O.MemRead(addr, draw(st.integers(1, 300))))
+        else:
+            ops.append(O.ServicePending())
+    ops += [O.WaitPage(first + p) for p in draw(st.permutations(pages))]
     return ops
 
 
@@ -467,6 +537,20 @@ class TestRegimeFlip:
         assert services[0] == services[1]
         _assert_identical(*snaps)
         assert snaps[0]["stats"]["wait_ns"] == 250.0
+
+    @_DIFF_SETTINGS
+    @given(
+        ops=close_block_streams(),
+        faults=st.sampled_from([None, FaultConfig()]),
+    )
+    def test_close_block_times_service_like_per_op(self, ops, faults):
+        """Comm pages that block within one service of each other: the
+        batch hooks, the per-op remainder after a hook stops and the
+        polls around them service every page after the same op as the
+        per-op reference (``test_batch_hook_stop_polls_like_per_op`` is
+        one such stream, found by hand)."""
+        batched, scalar = _run_both(ops, lambda: _radram_machine(faults))
+        _assert_identical(batched, scalar)
 
     @_DIFF_SETTINGS
     @given(flips=st.lists(st.booleans(), min_size=2, max_size=5))

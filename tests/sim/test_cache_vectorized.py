@@ -26,6 +26,13 @@ from repro.sim.ops import lines_for_block, lines_for_gather, lines_for_stride
 LINE = 32
 
 
+def _examples(percent):
+    """``percent``% of the loaded hypothesis profile's example budget:
+    ``percent`` examples under the default profile (100), ten times as
+    many under ``--hypothesis-profile=deep`` (tests/conftest.py)."""
+    return max(1, settings.default.max_examples * percent // 100)
+
+
 def make_pair(l1_sets, l1_assoc, l2_sets, l2_assoc, small_batch=0):
     """A (vectorized, scalar) hierarchy pair with identical geometry.
 
@@ -120,7 +127,7 @@ geometry = st.tuples(
 
 class TestBatchedDifferential:
     @given(geom=geometry, streams=workload)
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=_examples(120), deadline=None)
     def test_bit_identical_streams(self, geom, streams):
         vec, ref, dram_v, dram_s = make_pair(*geom)
         for i, (lines, write) in enumerate(streams):
@@ -130,7 +137,7 @@ class TestBatchedDifferential:
             assert_identical(vec, ref, dram_v, dram_s, ctx=f"stream {i}")
 
     @given(geom=geometry, streams=workload, data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=_examples(60), deadline=None)
     def test_bit_identical_with_scalar_interleaving(self, geom, streams, data):
         """Batched and single-line entry points share one state machine."""
         vec, ref, dram_v, dram_s = make_pair(*geom)
@@ -152,7 +159,7 @@ class TestBatchedDifferential:
             max_size=10,
         ),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=_examples(60), deadline=None)
     def test_shared_l2_two_l1s(self, geom, streams):
         """Dual L1s (D+I) interleaving traffic into one L2 — the SMP shape."""
         l1_sets, l1_assoc, l2_sets, l2_assoc = geom
@@ -213,7 +220,7 @@ class TestAdaptiveDispatchDifferential:
     every regime flip.  Mixed-width workloads force flips both ways."""
 
     @given(geom=geometry, streams=mixed_workload)
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=_examples(80), deadline=None)
     def test_bit_identical_across_regime_flips(self, geom, streams):
         vec, ref, dram_v, dram_s = make_pair(*geom, small_batch=None)
         for i, (lines, write) in enumerate(streams):
@@ -249,7 +256,7 @@ class TestRoundsEngineDifferential:
             c._ROUNDS_WIDTH = 0
 
     @given(geom=geometry, streams=workload)
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=_examples(80), deadline=None)
     def test_bit_identical_streams_rounds(self, geom, streams):
         vec, ref, dram_v, dram_s = make_pair(*geom)
         self._force_rounds(vec)

@@ -139,7 +139,7 @@ def test_access_lines_batch_same_per_line_latencies():
     got = {}
     for name, parts in segment_forms().items():
         h = hierarchy()
-        lat = h[0].access_lines_batch(parts, writes)
+        lat = h[0].access_lines_batch(parts, writes, [len(p) for p in parts])
         got[name] = (lat.tolist(), state(*h))
     assert len(got["arrays"][0]) == sum(len(r) for r, _ in SEGMENT)
     assert got["ranges"] == got["arrays"]
@@ -149,10 +149,11 @@ def test_access_lines_batch_same_per_line_latencies():
 def test_access_lines_batch_expands_non_unit_step_ranges():
     parts = [range(10, 40, 3), range(5, 9), range(90, 60, -7)]
     h = hierarchy()
-    lat = h[0].access_lines_batch(parts, [False, True, False])
+    counts = [len(p) for p in parts]
+    lat = h[0].access_lines_batch(parts, [False, True, False], counts)
     ref = hierarchy()
     want = ref[0].access_lines_batch(
-        [np.array(list(p), dtype=np.int64) for p in parts], [False, True, False]
+        [np.array(list(p), dtype=np.int64) for p in parts], [False, True, False], counts
     )
     assert lat.tolist() == want.tolist()
     assert state(*h) == state(*ref)
