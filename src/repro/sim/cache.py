@@ -203,6 +203,9 @@ class Cache:
         assoc = config.assoc
         self._n_sets = n_sets
         self._assoc = assoc
+        # A power-of-two set count (every shipped config) splits a line
+        # into (tag, set) with a shift and a mask; -1 keeps np.divmod.
+        self._set_shift = n_sets.bit_length() - 1 if n_sets & (n_sets - 1) == 0 else -1
         self._tag = np.full((n_sets, assoc), -1, dtype=np.int64)
         self._stamp = np.zeros((n_sets, assoc), dtype=np.int64)
         self._dirty = np.zeros((n_sets, assoc), dtype=bool)
@@ -501,7 +504,12 @@ class Cache:
             return _EMPTY_F64
         if self._scalar_sets is not None:
             self._flush_lists()  # leave the small-batch regime
-        tag, set_idx = np.divmod(addrs, self._n_sets)
+        shift = self._set_shift
+        if shift >= 0:
+            tag = addrs >> shift
+            set_idx = addrs & (self._n_sets - 1)
+        else:
+            tag, set_idx = np.divmod(addrs, self._n_sets)
         demand_only = int(kinds.max()) != _INSTALL
         # A batch that carries installs and whose first op misses can
         # take neither fast path, so it skips the full-batch lookup.
@@ -569,8 +577,7 @@ class Cache:
         assoc = self._assoc
         n_sets = self._n_sets
 
-        order = _set_order(set_idx, n_sets)
-        s_sorted = set_idx[order]
+        order, s_sorted = _group_by_set(set_idx, n_sets)
         tag_sorted = tag[order]
         w_sorted = (kinds == _WRITE)[order]
 
@@ -600,7 +607,9 @@ class Cache:
             victim_dirty[from_pre] = pre_dirty[g, v[from_pre]]
         from_new = evict & (v >= occ0_g)
         if from_new.any():
-            src = (np.repeat(start, counts) + j - assoc)[from_new]
+            # Sorted position p is its set's start plus j; the install
+            # it evicts came assoc ops earlier in the set, at p - assoc.
+            src = np.flatnonzero(from_new) - assoc
             victim_tag[from_new] = tag_sorted[src]
             victim_dirty[from_new] = w_sorted[src]
 
@@ -660,8 +669,9 @@ class Cache:
         it touched, from which :meth:`_finish` charges the batch.
         """
         n = addrs.shape[0]
-        order = _set_order(set_idx, self._n_sets)
-        start, counts, uniq = _group_sorted(set_idx[order])
+        order, s_sorted = _group_by_set(set_idx, self._n_sets)
+        start, counts, uniq = _group_sorted(s_sorted)
+        del s_sorted  # not held through the resolver (peak RSS)
         if n >= self._ROUNDS_MIN_OPS and int(counts.max()) * self._ROUNDS_WIDTH <= n:
             self.batches_rounds += 1
             resolve = self._apply_rounds
@@ -1237,21 +1247,52 @@ def _touched_cell(
     return idx
 
 
-def _set_order(set_idx: np.ndarray, n_sets: int) -> np.ndarray:
-    """Stable argsort of set indices; a ``uint16`` key (up to 65,536
-    sets) takes numpy's radix sort, several times faster than int64's."""
-    if n_sets <= 1 << 16:
-        set_idx = set_idx.astype(np.uint16)
-    return np.argsort(set_idx, kind="stable")
+#: From this many ops up, :func:`_group_by_set` sorts packed keys;
+#: narrower batches keep the radix argsort, which is cheaper there
+#: (DESIGN.md §5b).
+_PACKED_SORT_MIN_OPS = 4096
+
+
+def _group_by_set(set_idx: np.ndarray, n_sets: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable set order of a batch: ``(order, s_sorted)``, equal to
+    ``np.argsort(set_idx, kind="stable")`` and ``set_idx[order]``.
+
+    A wide batch sorts the keys ``set << b | position`` in place, ``b``
+    bits being enough for any position.  The keys are unique, so any
+    sort of them is stable: the low bits are the order and the high
+    bits the sorted sets, with no gather.  They are ``uint32`` when
+    they fit in 32 bits, else int64.  A narrow batch takes a stable
+    argsort, on a ``uint16`` key (numpy's radix sort) up to 65,536
+    sets, and gathers.
+    """
+    n = set_idx.shape[0]
+    if n < _PACKED_SORT_MIN_OPS:
+        key = set_idx.astype(np.uint16) if n_sets <= 1 << 16 else set_idx
+        order = np.argsort(key, kind="stable")
+        return order, set_idx[order]
+    b = (n - 1).bit_length()
+    if (n_sets - 1).bit_length() + b <= 32:
+        keys = set_idx.astype(np.uint32)
+        keys <<= b
+        keys |= np.arange(n, dtype=np.uint32)
+    else:
+        keys = set_idx << b
+        keys |= np.arange(n, dtype=np.int64)
+    keys.sort()
+    order = np.empty(n, dtype=np.int64)
+    np.bitwise_and(keys, (1 << b) - 1, out=order)
+    keys >>= b
+    return order, keys
 
 
 def _group_sorted(s_sorted: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group boundaries of a sorted key array: (starts, counts, keys)."""
+    """Group boundaries of a sorted key array: (starts, counts, keys),
+    the keys as int64 whatever the input's dtype."""
     n = s_sorted.shape[0]
     boundaries = np.flatnonzero(s_sorted[1:] != s_sorted[:-1]) + 1
     start = np.concatenate(([0], boundaries))
     counts = np.diff(np.concatenate((start, [n])))
-    return start, counts, s_sorted[start]
+    return start, counts, s_sorted[start].astype(np.int64, copy=False)
 
 
 def build_hierarchy(

@@ -120,3 +120,28 @@ def test_install_batch_with_first_miss_skips_lookup(assoc, monkeypatch):
     assert True not in lookups  # L2 never looked its batch up
     assert False in lookups  # L1's demand-only batch did
     assert l2.stats.writebacks + vec[0].stats.writebacks > 0
+
+
+def test_non_power_of_two_sets_cold_rounds_and_walk():
+    """A 768-set L1 over a 1536-set L2 splits lines with ``np.divmod``:
+    a cold scan, a wide re-touching batch in rounds and a narrow batch
+    walked per set, each on both sides of the packed-sort crossover
+    where it can be, against the reference model."""
+    n_sets = 768
+    vec, ref, dram_v, dram_s = make_pair(n_sets, 2, 2 * n_sets, 4)
+    assert vec[0]._set_shift == -1 and vec[2]._set_shift == -1
+    rng = np.random.default_rng(768)
+    span = 4 * n_sets * 2
+    for i, n in enumerate((6000, 1000)):
+        base = 10 * span * (i + 1)
+        run_both(vec, ref, dram_v, dram_s, list(range(base, base + n)), True, f"cold {n}")
+        lines = [int(x) for x in rng.integers(0, span, size=n)]
+        run_both(vec, ref, dram_v, dram_s, lines, bool(i), f"rounds {n}")
+    crowded = [t * n_sets + s for t in range(40) for s in (5, 767)]
+    crowded += crowded[::3]
+    run_both(vec, ref, dram_v, dram_s, crowded, True, "walk")
+    l1 = vec[0]
+    assert l1.batches_cold == 2
+    assert l1.batches_rounds == 2
+    assert l1.batches_walked == 1
+    assert l1.stats.writebacks > 0

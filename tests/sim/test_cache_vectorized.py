@@ -117,10 +117,12 @@ workload = st.lists(
     max_size=12,
 )
 
+# Set counts that are not powers of two split lines with np.divmod
+# instead of a shift and a mask.
 geometry = st.tuples(
-    st.sampled_from([1, 2, 4, 8]),  # l1 sets
+    st.sampled_from([1, 2, 3, 4, 6, 8, 12]),  # l1 sets
     st.sampled_from([1, 2, 4, 8]),  # l1 assoc
-    st.sampled_from([2, 4, 16]),  # l2 sets
+    st.sampled_from([2, 4, 6, 12, 16, 24]),  # l2 sets
     st.sampled_from([1, 2, 4, 8]),  # l2 assoc
 )
 
