@@ -37,6 +37,11 @@ Epochs only grow: a shard acquiring slot ``N`` takes
 its lease, so a restart self-fences its own previous incarnation the
 same way a peer takeover fences a zombie.
 
+The server sees all of this through one role object: :class:`Shard`
+in cluster mode, or :class:`Standalone`, which gives the same questions
+(who owns a key or a journal, where to redirect, what to stamp and
+report) their single-process answers.
+
 The launcher (``python -m repro serve --cluster N``) is
 :func:`run_cluster`: it spawns ``N`` single-shard server processes
 (``--shards N --shard-index i``) sharing the invoking environment's
@@ -45,6 +50,7 @@ cache dir and forwards SIGTERM/SIGINT for a coordinated drain.
 
 from __future__ import annotations
 
+import asyncio
 import bisect
 import hashlib
 import itertools
@@ -456,6 +462,249 @@ class ClusterMembership:
 
 
 # ----------------------------------------------------------------------
+# The server's role: standalone or one shard
+
+
+class Standalone:
+    """The single-process role: every key is local and nothing is fenced."""
+
+    #: the shard index chaos rules and journal stamps carry (none here).
+    index: Optional[int] = None
+
+    def join(self, addr: str) -> None:
+        """Claim this process's place once the listen address is known."""
+
+    def leave(self) -> None:
+        """Give the place up after the drain."""
+
+    def guard(self, journal) -> None:
+        """Install the append guard on a journal this server writes."""
+
+    def stamp(self, record: Dict[str, object]) -> None:
+        """Add the admitting coordinates to a journal request record."""
+
+    def owns_journal(self, summary: Dict[str, object], key: str) -> bool:
+        """Whether a cold boot re-enqueues this incomplete journal."""
+        return True
+
+    def redirect_for(self, key: str) -> Optional[Tuple[int, str]]:
+        """``(owner, submit URL)`` when another live shard owns ``key``."""
+        return None
+
+    def count_fenced(self) -> None:
+        """Count one journal append the epoch fence refused."""
+
+    def refresh_gauges(self, queue_depth: float, active: float) -> None:
+        """Update the point-in-time membership gauges."""
+
+    def status(self) -> Dict[str, object]:
+        """The ``GET /cluster`` membership document."""
+        return {"cluster": False, "shards": 1}
+
+    def history(self, metric: Callable[[str], float]) -> Dict[str, object]:
+        """The membership fields of a drain-time history record."""
+        return {}
+
+    def banner(self) -> str:
+        """Suffix for the ``serve: listening`` line."""
+        return ""
+
+
+class Shard(Standalone):
+    """One shard of a cluster: ring routing, lease, fence and takeover.
+
+    Wraps this slot's :class:`ClusterMembership` (created here, joined
+    once the server knows its listen address) and the ``cluster.*``
+    counters.  All methods run on the server's event-loop thread except
+    :meth:`count_fenced`, which publishing worker threads call.
+    """
+
+    def __init__(
+        self,
+        root: Path,
+        index: int,
+        n_shards: int,
+        ttl_s: float,
+        counters,
+    ) -> None:
+        self.ring = HashRing(n_shards)
+        self.membership = ClusterMembership(root, index, n_shards, ttl_s=ttl_s)
+        self.index = index
+        self.counters = counters
+        # Pre-create the headline counters so /metrics reports zeros
+        # rather than omitting them before the first event.
+        for name in (
+            "redirects_total", "takeovers_total", "fenced_appends_rejected",
+        ):
+            counters.counter(name)
+        #: newest epoch per dead slot already swept for takeover —
+        #: avoids rescanning the journal dir every lease tick for a
+        #: peer that stays dead.
+        self._swept: Dict[int, int] = {}
+
+    def join(self, addr: str) -> None:
+        self.membership.addr = addr
+        self.membership.acquire()
+
+    def leave(self) -> None:
+        self.membership.release()
+
+    async def heartbeat(
+        self,
+        drained: asyncio.Event,
+        on_fenced: Callable[[], None],
+        sweep: Callable[[], None],
+    ) -> None:
+        """Renew the lease every ``ttl/3`` and ``sweep`` for dead peers.
+
+        Once a renewal finds this slot fenced, report it and call
+        ``on_fenced`` (the server drains); a zombie sweeps nothing.
+        """
+        m = self.membership
+        interval = max(0.05, m.ttl_s / 3.0)
+        reported = False
+        while not drained.is_set():
+            try:
+                await asyncio.wait_for(drained.wait(), timeout=interval)
+                break  # drained: leave() releases the lease
+            except asyncio.TimeoutError:
+                pass
+            if m.renew():
+                sweep()
+            elif not reported:
+                reported = True
+                print(
+                    f"serve: shard {self.index} fenced (epoch {m.epoch} "
+                    f"superseded by {read_fence_epoch(m.root, self.index)}); "
+                    "draining",
+                    flush=True,
+                )
+                on_fenced()
+
+    def guard(self, journal) -> None:
+        journal.fence = self.membership.check_fence
+
+    def stamp(self, record: Dict[str, object]) -> None:
+        # The admitting slot/epoch: the coordinates dead-peer takeover
+        # and lease-aware prune key off.
+        record["shard"] = self.index
+        record["epoch"] = self.membership.epoch
+
+    def owns_journal(self, summary: Dict[str, object], key: str) -> bool:
+        """A cold boot claims only journals its previous incarnation
+        admitted, plus pre-cluster ones the ring assigns here; another
+        shard's belong to it, or to whoever fences it once it is dead."""
+        shard = summary.get("shard")
+        if isinstance(shard, int):
+            return shard == self.index
+        return self.ring.owner(key) == self.index
+
+    def redirect_for(self, key: str) -> Optional[Tuple[int, str]]:
+        owner = self.ring.owner(key, self.membership.alive())
+        if owner == self.index:
+            return None
+        lease = self.membership.peers().get(owner)
+        if lease is None or not lease.addr:
+            return None  # can't name a target; serve it here instead
+        self.counters.counter("redirects_total").add()
+        return owner, f"http://{lease.addr}/submit"
+
+    def unswept_dead_slots(self) -> List[int]:
+        """Dead peer slots whose newest epoch no sweep has handled.
+
+        A peer that stays dead (or never started) costs a few lease
+        reads per tick, not a journal-directory walk.
+        """
+        m = self.membership
+        return [
+            slot for slot in m.dead_slots()
+            if self._swept.get(slot, -1) < m.latest_epoch(slot)
+        ]
+
+    def take_over(self, slot: int, n_jobs: int) -> bool:
+        """Fence dead peer ``slot`` so this shard may adopt its ``n_jobs``
+        incomplete journals; ``False`` when it must not adopt them.
+
+        With nothing to adopt there is no takeover, and no fence: a
+        restarting peer should not find its epoch burned.  A live slot
+        still runs its own jobs, and a ``lost`` claim means another peer
+        is adopting them.
+        """
+        m = self.membership
+        if not n_jobs:
+            self._swept[slot] = m.latest_epoch(slot)
+            return False
+        if slot in m.alive():
+            return False
+        outcome, epoch = m.fence_slot(slot)
+        self._swept[slot] = epoch
+        if outcome == "won":
+            self.counters.counter("takeovers_total").add()
+            print(
+                f"serve: shard {self.index} taking over {n_jobs} job(s) "
+                f"from dead shard {slot} (fence epoch {epoch})",
+                flush=True,
+            )
+        return outcome != "lost"
+
+    def count_adopted(self, n_jobs: int) -> None:
+        self.counters.counter("takeover_jobs_adopted").add(n_jobs)
+
+    def count_fenced(self) -> None:
+        # Called from publishing worker threads; Counter.add is a plain
+        # float += (GIL-atomic enough for a diagnostic counter).
+        self.counters.counter("fenced_appends_rejected").add()
+
+    def refresh_gauges(self, queue_depth: float, active: float) -> None:
+        m = self.membership
+        self.counters.counter("shards_alive").set(float(len(m.alive())))
+        self.counters.counter("epoch").set(float(m.epoch))
+        self.counters.counter("fenced").set(1.0 if m.fenced else 0.0)
+        self.counters.counter(f"shard.{self.index}.queue_depth").set(queue_depth)
+        self.counters.counter(f"shard.{self.index}.active_jobs").set(active)
+
+    def status(self) -> Dict[str, object]:
+        m = self.membership
+        now = time.time()
+        peers: Dict[str, object] = {}
+        for slot, lease in sorted(m.peers().items()):
+            peers[str(slot)] = {
+                "addr": lease.addr,
+                "epoch": lease.epoch,
+                "pid": lease.pid,
+                "alive": not lease.expired(now),
+                "expires_in_s": round(lease.ttl_s - (now - lease.renewed_at), 3),
+            }
+        return {
+            "cluster": True,
+            "shard": self.index,
+            "shards": m.n_shards,
+            "epoch": m.epoch,
+            "fenced": m.fenced,
+            "alive": sorted(m.alive(now)),
+            "peers": peers,
+        }
+
+    def history(self, metric: Callable[[str], float]) -> Dict[str, object]:
+        return {
+            "shard": self.index,
+            "cluster": {
+                "shards": self.membership.n_shards,
+                "epoch": self.membership.epoch,
+                "takeovers_total": metric("cluster.takeovers_total"),
+                "fenced_appends_rejected": metric(
+                    "cluster.fenced_appends_rejected"
+                ),
+                "redirects_total": metric("cluster.redirects_total"),
+            },
+        }
+
+    def banner(self) -> str:
+        m = self.membership
+        return f", shard={self.index}/{m.n_shards}, epoch={m.epoch}"
+
+
+# ----------------------------------------------------------------------
 # Launcher
 
 
@@ -496,11 +745,12 @@ def run_cluster(args) -> int:
     environment's cache dir; with a nonzero ``--port`` shard ``i``
     listens on ``port + i``.  SIGTERM/SIGINT are forwarded to every
     shard so the whole cluster drains together; the exit code is 0
-    only when every shard drained cleanly.
+    only when every shard drained cleanly; 2 when ``N < 2``.
     """
     n_shards = int(args.cluster)
-    if n_shards < 1:
-        raise SystemExit(f"--cluster expects N >= 1, got {n_shards}")
+    if n_shards < 2:
+        print("serve: --cluster needs at least 2 shards", flush=True)
+        return 2
     procs: List[subprocess.Popen] = []
     for index in range(n_shards):
         procs.append(subprocess.Popen(shard_argv(args, index, n_shards)))

@@ -33,7 +33,7 @@ from repro.serve.cluster import (
     read_lease,
 )
 from repro.serve.journal import FencedError, JournalStore, job_summary
-from repro.serve.server import Job
+from repro.serve.lifecycle import Job
 from tests.serve.test_server import _wait_until, gated_execute  # noqa: F401
 
 
@@ -250,6 +250,41 @@ class TestZombiePublish:
         jnl.append({"type": "event", "seq": 1})
         assert calls == [1]
         jnl.close()
+
+    def test_fenced_appends_count_once_in_server_counters(
+        self, serve_factory, tmp_path, gated_execute  # noqa: F811
+    ):
+        """Each fenced append is one degraded write: it counts once in
+        ``serve.journal_errors`` and once in
+        ``cluster.fenced_appends_rejected``."""
+        shard = serve_factory(shards=2, shard_index=0, lease_ttl_s=30.0)
+        request, _key = _request_owned_by(0)
+        stream = client.stream_submit(shard.base_url, request, timeout=120)
+        job_id = next(stream)["job"]
+        assert gated_execute["started"].wait(timeout=30)
+        # A peer takes slot 0 over while the job runs: every later
+        # append by this (now zombie) shard is fenced.
+        cluster._write_atomic(
+            fence_path(_cluster_dir(tmp_path), 0),
+            {"shard": 0, "epoch": 99, "by": 1},
+        )
+        gated_execute["release"].set()
+        events = list(stream)
+        assert events[-1]["event"] == "done" and events[-1]["ok"] is True
+        _wait_until(
+            lambda: client.get_json(shard.base_url, "/metrics")[
+                "serve.active_jobs"
+            ] == 0.0,
+            message="the job to retire",
+        )
+        metrics = shard.metrics()
+        fenced = metrics["cluster.fenced_appends_rejected"]
+        assert fenced >= 1.0
+        assert metrics["serve.journal_errors"] == fenced
+        records = JournalStore(_journal_dir(tmp_path)).read(job_id)
+        assert not job_summary(records)["done"], (
+            "no fenced append reached the journal"
+        )
 
 
 # ----------------------------------------------------------------------
