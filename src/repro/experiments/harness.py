@@ -85,7 +85,7 @@ from repro.sim.config import MachineConfig
 from repro.sim.memory import DEFAULT_PAGE_BYTES
 
 #: Bump when the meaning of cached values changes (invalidates entries).
-CACHE_SCHEMA = 4  # bumped: trace digests count one cache event per fused batch
+CACHE_SCHEMA = 5  # bumped: trace digests sample DRAM and bus once per narrow cache call
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"

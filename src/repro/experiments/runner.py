@@ -26,6 +26,25 @@ from repro.sim.stats import MachineStats
 #: Default conventional-simulation cap (pages) before extrapolating.
 DEFAULT_CAP_PAGES = 8.0
 
+#: What :attr:`RunResult.machine_counts` holds, in order.
+MACHINE_COUNTS = (
+    "l1d.hits", "l1d.misses", "l1d.writebacks",
+    "l2.hits", "l2.misses", "l2.writebacks",
+    "dram.reads", "dram.writes",
+    "bus.bytes", "bus.cycles", "bus.transfers",
+)
+
+
+def machine_counts(machine: Machine) -> Tuple[int, ...]:
+    """A machine's counts in :data:`MACHINE_COUNTS` order."""
+    l1, l2, bus = machine.l1d.stats, machine.l2.stats, machine.bus
+    return (
+        l1.hits, l1.misses, l1.writebacks,
+        l2.hits, l2.misses, l2.writebacks,
+        machine.dram.reads, machine.dram.writes,
+        bus.bytes_transferred, bus.cycles, bus.transfers,
+    )
+
 
 @dataclass
 class RunResult:
@@ -46,6 +65,10 @@ class RunResult:
     page_busy_ns: Tuple[float, ...] = ()
     #: fault/repair counters (empty unless fault injection was on).
     fault_counters: Dict[str, float] = field(default_factory=dict)
+    #: the simulated machine's cache, DRAM and bus counts at the end of
+    #: the run, in :data:`MACHINE_COUNTS` order (a plain tuple: results
+    #: are kept in bulk, so they hold no machine or registry).
+    machine_counts: Tuple[int, ...] = ()
 
     @property
     def stall_fraction(self) -> float:
@@ -128,6 +151,7 @@ def run_conventional(
         stats=stats,
         workload=w,
         scaled_from_pages=scaled_from,
+        machine_counts=machine_counts(machine),
     )
 
 
@@ -181,6 +205,7 @@ def run_radram(
         mean_page_busy_ns=busy / activations if activations else 0.0,
         page_busy_ns=per_page,
         fault_counters=memsys.fault_counters(),
+        machine_counts=machine_counts(machine),
     )
 
 

@@ -94,6 +94,27 @@ tasks: 562 conversions in, 56 back; fig3-radram, 112 points: 252 in,
 empty set gets its dict on first touch.  Both regimes implement the
 identical state machine; the differential suite drives them against
 the scalar reference with mixed batch sizes.
+
+One walk per narrow call
+------------------------
+:meth:`Cache._walk` settles a whole narrow batch in one loop: each line
+in this level's dicts and, on a miss or a dirty victim, in the last
+level's, which it converts to the dict regime on first touch.  A line
+costs one of a few constants, fixed by the configs and assembled once
+per level in the scalar model's float association,
+``(h1 + (h2 + (miss + xfer)) [+ xfer]) [+ h2]``; the total sums them
+left to right.  Hits, misses and writebacks of both levels are
+committed once per call, and so are all DRAM and bus traffic, through
+``DRAM.read_lines``/``write_lines`` (and so ``Bus.transfer_batch``): no
+cache method reaches the per-line ``DRAM.read_line``/``write_line`` or
+``Bus.transfer``.  A flush drops each level's lines in the range and
+posts its dirty ones the same way, to the last level's dicts in one
+:meth:`Cache._install` or to DRAM in one ``write_lines``.  The walk
+serves every hierarchy the code builds — L1D over L2 over DRAM, several
+L1Ds over one L2 (:mod:`repro.sim.smp`), one level over DRAM — so a
+level's next level must sit over DRAM: ``Cache.__init__`` rejects a
+deeper chain rather than keep a recursive per-line fallback that
+nothing would run.
 """
 
 from __future__ import annotations
@@ -194,6 +215,10 @@ class Cache:
     ) -> None:
         if next_level is None and dram is None:
             raise ValueError(f"cache {name!r} needs a next level or DRAM")
+        if next_level is not None and next_level.next_level is not None:
+            raise ValueError(
+                f"cache {name!r}: a level's next level must sit over DRAM"
+            )
         self.name = name
         self.config = config
         self.next_level = next_level
@@ -211,6 +236,33 @@ class Cache:
         self._dirty = np.zeros((n_sets, assoc), dtype=bool)
         self._occ = np.zeros(n_sets, dtype=np.int64)
         self._clock = 1  # stamp 0 is reserved for invalid ways
+        # What the narrow walk reads per call, fixed by the configs:
+        # the geometry of this level and of the level below, and the
+        # per-line costs in the scalar model's float association.  The
+        # last level's DRAM costs a line ``rd`` to read and ``wr`` to
+        # write, as DRAM.read_line and write_line return them.  A miss
+        # that hits the level below costs ``fill_hit``, a fill from
+        # DRAM ``fill`` or, with a dirty victim below, ``fill_wb``;
+        # posting a dirty victim adds ``post``.
+        last = self if next_level is None else next_level
+        dram_bytes = last.config.line_bytes
+        bus = last.dram.bus.config
+        wr = bus.transfer_cycles(dram_bytes) * bus.ns_per_transfer
+        rd = last.dram.config.miss_latency_ns + wr
+        h1 = config.hit_ns
+        if next_level is None:
+            n2 = assoc2 = fill_hit = fill_wb = None
+            fill, post = h1 + rd, wr
+        else:
+            h2 = next_level.config.hit_ns
+            n2, assoc2 = next_level._n_sets, next_level._assoc
+            fill_hit, fill, fill_wb = h1 + h2, h1 + (h2 + rd), h1 + ((h2 + rd) + wr)
+            post = h2
+        self._walk_k = (
+            n_sets, assoc, h1, next_level, n2, assoc2,
+            fill_hit, fill, fill_wb, post, dram_bytes,
+        )
+        self._post_ns = post
         # Scalar-regime state: per-set OrderedDict(tag -> dirty), LRU
         # first, None for a set still empty since entry (the live list
         # names the rest).  None means the matrices are authoritative.
@@ -304,77 +356,145 @@ class Cache:
 
     def access_line(self, line_addr: int, write: bool) -> float:
         """Access one line; returns latency in ns (includes lower levels)."""
+        return self._walk((line_addr,), write)
+
+    def _walk(self, addrs, write: bool) -> float:
+        """Settle a narrow batch in the dict regime, every level inline.
+
+        Each line is settled in this level's dicts and, on a miss or a
+        dirty victim, in the last level's (converted on first touch).
+        A line costs one of the constants ``__init__`` assembles in
+        the scalar model's float association,
+        ``(h1 + (h2 + (miss + xfer)) [+ xfer]) [+ h2]``, and the total
+        is summed left to right.  Hits, misses and writebacks of both
+        levels and all DRAM and bus traffic are committed once, at the
+        end.
+        """
+        (
+            n_sets, assoc, h1, lower, n2, assoc2,
+            fill_hit, fill, fill_wb, post, dram_bytes,
+        ) = self._walk_k
         sets = self._scalar_sets
         if sets is None:
             self._ensure_lists()
             sets = self._scalar_sets
-        n_sets = self._n_sets
-        s = line_addr % n_sets
-        od = sets[s]
-        if od is None:  # first touch of a set empty on entry
-            od = sets[s] = OrderedDict()
-            self._scalar_live.append(s)
-        t = line_addr // n_sets
-        if t in od:
-            self.stats.hits += 1
-            od.move_to_end(t)
-            if write:
-                od[t] = True
-            return self.config.hit_ns
-        self.stats.misses += 1
-        latency = self.config.hit_ns
-        if self.next_level is not None:
-            latency += self.next_level.access_line(line_addr, write=False)
+        live = self._scalar_live
+        if lower is not None:
+            sets2 = lower._scalar_sets  # None until the first fill
+            live2 = lower._scalar_live
+        hits = wbs = hits2 = wbs2 = 0
+        total = 0.0
+        for a in addrs:
+            s = a % n_sets
+            od = sets[s]
+            if od is None:  # first touch of a set empty on entry
+                od = sets[s] = OrderedDict()
+                live.append(s)
+            t = a // n_sets
+            if t in od:
+                hits += 1
+                od.move_to_end(t)
+                if write:
+                    od[t] = True
+                total += h1
+                continue
+            if lower is None:
+                lat = fill
+            else:
+                # Demand fill from the last level.
+                if sets2 is None:
+                    lower._ensure_lists()
+                    sets2 = lower._scalar_sets
+                    live2 = lower._scalar_live
+                s2 = a % n2
+                od2 = sets2[s2]
+                if od2 is None:
+                    od2 = sets2[s2] = OrderedDict()
+                    live2.append(s2)
+                t2 = a // n2
+                if t2 in od2:
+                    hits2 += 1
+                    od2.move_to_end(t2)
+                    lat = fill_hit
+                else:
+                    if len(od2) >= assoc2 and od2.popitem(False)[1]:
+                        wbs2 += 1
+                        lat = fill_wb
+                    else:
+                        lat = fill
+                    od2[t2] = False
+            if len(od) >= assoc:
+                vt, dirty = od.popitem(False)  # exact LRU
+                if dirty:
+                    wbs += 1
+                    lat += post
+                    if lower is not None:
+                        # Post the victim: installed dirty below (the
+                        # rule of ``_install``).
+                        v = vt * n_sets + s
+                        s2 = v % n2
+                        od2 = sets2[s2]
+                        if od2 is None:
+                            od2 = sets2[s2] = OrderedDict()
+                            live2.append(s2)
+                        t2 = v // n2
+                        if t2 in od2:
+                            od2.move_to_end(t2)
+                        elif len(od2) >= assoc2 and od2.popitem(False)[1]:
+                            wbs2 += 1
+                        od2[t2] = True
+            od[t] = write
+            total += lat
+        misses = len(addrs) - hits
+        stats = self.stats
+        stats.hits += hits
+        stats.misses += misses
+        stats.writebacks += wbs
+        if lower is None:
+            dram, reads, writes = self.dram, misses, wbs
         else:
-            latency += self.dram.read_line(self.config.line_bytes)
-        if len(od) >= self._assoc:
-            victim_tag, victim_dirty = od.popitem(last=False)  # exact LRU
-            if victim_dirty:
-                self.stats.writebacks += 1
-                latency += self._writeback(victim_tag * n_sets + s)
-        od[t] = write
-        return latency
+            stats = lower.stats
+            stats.hits += hits2
+            stats.misses += misses - hits2
+            stats.writebacks += wbs2
+            dram, reads, writes = lower.dram, misses - hits2, wbs2
+        if reads:
+            dram.read_lines(reads, dram_bytes)
+        if writes:
+            dram.write_lines(writes, dram_bytes)
+        return total
 
-    def _writeback(self, victim_line: int) -> float:
-        """Post a dirty victim to the level below; returns the posted cost.
+    def _install(self, lines: List[int]) -> None:
+        """Take posted dirty victims from the level above, in order.
 
-        The victim is installed (dirty) in the next level; only the next
-        level's hit time (or the DRAM line-write bus time) lands on the
-        critical path.
-        """
-        if self.next_level is not None:
-            self.next_level.install_line(victim_line)
-            return self.next_level.config.hit_ns
-        return self.dram.write_line(self.config.line_bytes)
-
-    def install_line(self, line_addr: int) -> None:
-        """Accept a posted dirty victim from the level above.
-
-        Allocates without fetching; never counts as a demand hit/miss.
-        Cascaded dirty evictions count in this level's ``writebacks``
-        but charge no latency (off the critical path).
+        Only a last level receives them.  Each allocates without a
+        fetch and counts as no demand hit or miss; a dirty line it
+        evicts counts in ``writebacks`` and goes to DRAM, charged to
+        nobody.
         """
         sets = self._scalar_sets
         if sets is None:
             self._ensure_lists()
             sets = self._scalar_sets
+        live = self._scalar_live
         n_sets = self._n_sets
-        s = line_addr % n_sets
-        od = sets[s]
-        if od is None:  # first touch of a set empty on entry
-            od = sets[s] = OrderedDict()
-            self._scalar_live.append(s)
-        t = line_addr // n_sets
-        if t in od:
-            od.move_to_end(t)
+        assoc = self._assoc
+        wbs = 0
+        for v in lines:
+            s = v % n_sets
+            od = sets[s]
+            if od is None:
+                od = sets[s] = OrderedDict()
+                live.append(s)
+            t = v // n_sets
+            if t in od:
+                od.move_to_end(t)
+            elif len(od) >= assoc and od.popitem(False)[1]:
+                wbs += 1
             od[t] = True
-            return
-        if len(od) >= self._assoc:
-            victim_tag, victim_dirty = od.popitem(last=False)
-            if victim_dirty:
-                self.stats.writebacks += 1
-                self._writeback(victim_tag * n_sets + s)
-        od[t] = True
+        if wbs:
+            self.stats.writebacks += wbs
+            self.dram.write_lines(wbs, self.config.line_bytes)
 
     # ------------------------------------------------------------------
     # Batched interface
@@ -393,7 +513,8 @@ class Cache:
         looping ``access_line`` over the sequence.
         """
         addrs = line_addrs
-        if not isinstance(addrs, (range, list)):
+        array = not isinstance(addrs, (range, list))
+        if array:
             addrs = _as_line_array(addrs)
         n = len(addrs)
         if n == 0:
@@ -411,15 +532,9 @@ class Cache:
         if tr is not None:
             h0, m0, w0 = self.stats.hits, self.stats.misses, self.stats.writebacks
         if n <= self._SMALL_BATCH:
-            # Narrow batch: the dict-based scalar walk beats numpy's
-            # fixed per-call overhead.  Left-to-right accumulation
-            # matches the batched total bit-for-bit.
-            if isinstance(addrs, np.ndarray):
-                addrs = addrs.tolist()
-            total = 0.0
-            access = self.access_line
-            for a in addrs:
-                total += access(a, write)
+            # Narrow batch: the dict-based walk beats numpy's fixed
+            # per-call overhead.  It takes Python ints.
+            total = self._walk(addrs.tolist() if array else addrs, write)
         else:
             addrs = _as_line_array(addrs)
             kinds = np.full(n, _WRITE if write else _READ, dtype=np.int8)
@@ -1016,43 +1131,59 @@ class Cache:
         hierarchy, this level first, so L1 victims land in L2 before
         L2's own sweep.
 
-        Runs in whichever regime the level is currently in (flushing
+        Runs in whichever regime each level is currently in (flushing
         is frequent on app streams, so forcing a regime conversion per
-        flush would thrash): the dict walk skips empty sets, the
-        matrix path discovers doomed ways with one vectorized mask.
-        Writebacks are posted in set-ascending, LRU-first order in
-        both — the order the scalar reference model uses.
+        flush would thrash).  Writebacks are posted in set-ascending,
+        LRU-first order — the order the scalar reference model uses —
+        and, like the walk's, committed once per level: this level's
+        victims are installed below by one :meth:`_install`, and the
+        last level's go to DRAM in one ``write_lines``.  The returned
+        total is this level's posted costs summed left to right, plus
+        the last level's summed the same way.
+        """
+        total = 0.0
+        level = self
+        while level is not None:
+            lower = level.next_level
+            victims = level._drop_range(lo_line, hi_line)
+            if victims:
+                level.stats.writebacks += len(victims)
+                if lower is None:
+                    level.dram.write_lines(len(victims), level.config.line_bytes)
+                else:
+                    lower._install(victims)
+                cost = level._post_ns
+                posted = 0.0
+                for _ in victims:
+                    posted += cost
+                total += posted
+            level = lower
+        return total
+
+    def _drop_range(self, lo_line: int, hi_line: int) -> List[int]:
+        """Invalidate this level's lines in ``[lo_line, hi_line]``.
+
+        Returns the dirty ones in set-ascending, LRU-first order.  The
+        dict regime skips empty sets; the matrix regime finds doomed
+        ways with one vectorized mask.  A range narrower than the set
+        count holds at most one line per set, so it enumerates its
+        lines in set order: those from the first multiple of the set
+        count up, then those below it.
         """
         n_sets = self._n_sets
-        total = 0.0
-        stats = self.stats
-        writeback = self._writeback
         sets = self._scalar_sets
         span = hi_line - lo_line + 1
+        out: List[int] = []
         if sets is not None:
             if span < n_sets:
-                # Narrow range (the common shape: one page's worth of
-                # lines): enumerate candidate lines instead of walking
-                # every set.  Each line maps to exactly one (set, tag)
-                # slot, so membership is one dict probe.
-                hits: dict = {}
-                for line in range(lo_line, hi_line + 1):
-                    s = line % n_sets
-                    od = sets[s]
-                    if od and (line // n_sets) in od:
-                        hits.setdefault(s, []).append(line // n_sets)
-                for s in sorted(hits):
-                    od = sets[s]
-                    want = hits[s]
-                    if len(want) > 1:
-                        # Restore the LRU-first within-set order the
-                        # full walk produces.
-                        wset = set(want)
-                        want = [t for t in od if t in wset]
-                    for t in want:
-                        if od.pop(t):
-                            stats.writebacks += 1
-                            total += writeback(t * n_sets + s)
+                wrap = min(lo_line + (-lo_line) % n_sets, hi_line + 1)
+                for lines in (range(wrap, hi_line + 1), range(lo_line, wrap)):
+                    for line in lines:
+                        od = sets[line % n_sets]
+                        if od:
+                            t = line // n_sets
+                            if t in od and od.pop(t):
+                                out.append(line)
             else:
                 for s in sorted(self._scalar_live):
                     od = sets[s]
@@ -1061,44 +1192,36 @@ class Cache:
                     ]
                     for t in doomed:
                         if od.pop(t):
-                            stats.writebacks += 1
-                            total += writeback(t * n_sets + s)
+                            out.append(t * n_sets + s)
+            return out
+        tagm = self._tag
+        if span < n_sets:
+            # Narrow range: compare only the candidate lines'
+            # (set, tag) slots, not the whole tag matrix.
+            cand = np.arange(lo_line, hi_line + 1, dtype=np.int64)
+            s_idx = cand % n_sets
+            hitm = tagm[s_idx] == (cand // n_sets)[:, None]
+            cr, ways = np.nonzero(hitm)
+            rows = s_idx[cr]
+            doomed_lines = cand[cr]
         else:
-            tagm = self._tag
-            if span < n_sets:
-                # Narrow range: compare only the candidate lines'
-                # (set, tag) slots, not the whole tag matrix.
-                cand = np.arange(lo_line, hi_line + 1, dtype=np.int64)
-                s_idx = cand % n_sets
-                hitm = tagm[s_idx] == (cand // n_sets)[:, None]
-                cr, ways = np.nonzero(hitm)
-                rows = s_idx[cr]
-                doomed_lines = cand[cr]
-            else:
-                lines = tagm * n_sets + np.arange(n_sets, dtype=np.int64)[:, None]
-                doomed_mask = (
-                    (tagm != -1) & (lines >= lo_line) & (lines <= hi_line)
-                )
-                rows, ways = np.nonzero(doomed_mask)
-                doomed_lines = lines[rows, ways]
-            if rows.size:
-                # (set, stamp) order == the dict regime's LRU-first walk.
-                order = np.lexsort((self._stamp[rows, ways], rows))
-                rows = rows[order]
-                ways = ways[order]
-                dirty = self._dirty[rows, ways]
-                if dirty.any():
-                    wb_lines = doomed_lines[order][dirty]
-                    for ln in wb_lines.tolist():
-                        stats.writebacks += 1
-                        total += writeback(ln)
-                tagm[rows, ways] = -1
-                self._dirty[rows, ways] = False
-                self._stamp[rows, ways] = 0
-                self._occ -= np.bincount(rows, minlength=n_sets)
-        if self.next_level is not None:
-            total += self.next_level.flush_range(lo_line, hi_line)
-        return total
+            lines = tagm * n_sets + np.arange(n_sets, dtype=np.int64)[:, None]
+            doomed_mask = (tagm != -1) & (lines >= lo_line) & (lines <= hi_line)
+            rows, ways = np.nonzero(doomed_mask)
+            doomed_lines = lines[rows, ways]
+        if rows.size:
+            # (set, stamp) order == the dict regime's LRU-first walk.
+            order = np.lexsort((self._stamp[rows, ways], rows))
+            rows = rows[order]
+            ways = ways[order]
+            dirty = self._dirty[rows, ways]
+            if dirty.any():
+                out = doomed_lines[order][dirty].tolist()
+            tagm[rows, ways] = -1
+            self._dirty[rows, ways] = False
+            self._stamp[rows, ways] = 0
+            self._occ -= np.bincount(rows, minlength=n_sets)
+        return out
 
     def lru_contents(self, set_idx: int) -> List[Tuple[int, bool]]:
         """``[(line_addr, dirty), ...]`` of one set, MRU first."""

@@ -193,7 +193,8 @@ def _simulate(
 
 
 def _fingerprint(result: RunResult) -> tuple:
-    """What the regimes must agree on, bit for bit."""
+    """What the regimes must agree on, bit for bit: the run's stats and
+    time, per-level cache, DRAM and bus counts, and memory image."""
     memory = result.workload.memory
     image = (
         {}
@@ -204,6 +205,7 @@ def _fingerprint(result: RunResult) -> tuple:
         result.stats.as_dict(),
         dict(result.stats.phase_ns),
         result.total_ns,
+        result.machine_counts,
         image,
     )
 

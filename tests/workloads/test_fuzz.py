@@ -22,6 +22,8 @@ from repro.workloads import (
     run_fuzz,
     shrink_case,
 )
+from repro.sim.dram import DRAM
+from repro.trace import events as trace_events
 from repro.workloads.base import PAGES_AXIS, get_generator
 
 GENEROUS_BOX = 600.0  # never the binding constraint in tests
@@ -115,6 +117,26 @@ class TestPlantedBug:
         shrunk, _ = shrink_case(case, tolerance_scale=self.BROKEN_SCALE)
         assert any(not o.ok for o in run_case(shrunk, self.BROKEN_SCALE))
         assert shrunk.params["pages"] <= case.params["pages"]
+
+
+class TestRegimesFingerprint:
+    def test_counts_only_divergence_is_found(self, monkeypatch):
+        """A traced run that under-counts DRAM reads keeps its stats
+        and times; the per-level cache, DRAM and bus counts in the
+        fingerprint still tell it apart."""
+        original = DRAM.read_lines
+
+        def undercounted(self, count, line_bytes):
+            if trace_events.TRACER is not None and count > 1:
+                count -= 1  # same per-line latency, one read fewer
+            return original(self, count, line_bytes)
+
+        monkeypatch.setattr(DRAM, "read_lines", undercounted)
+        gen = get_generator("mpeg-mmx")
+        case = FuzzCase(generator="mpeg-mmx", params=gen.default_params(), seed=1)
+        regimes = [o for o in run_case(case) if o.oracle == "regimes"]
+        assert len(regimes) == 1 and not regimes[0].ok
+        assert "traced run differs" in regimes[0].detail
 
 
 class TestCaseFiles:
