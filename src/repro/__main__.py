@@ -247,11 +247,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 f"pruned {jp['journals']} completed job journal(s) and "
                 f"{jp['tmp']} orphaned journal tmp file(s)"
             )
-        if jp.get("leased"):
-            print(
-                f"kept {jp['leased']} journal(s) owned by live or "
-                "mid-takeover cluster shards"
-            )
         return 0
     if action == "stats":
         stats = cache.stats()

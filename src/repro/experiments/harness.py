@@ -33,11 +33,13 @@ execution as a small batch system instead:
     :class:`repro.serve.scheduler.TaskScheduler`; ``run_sweep`` wraps
     it with the process-wide settings and counters.  The ``repro
     serve`` server drives the identical scheduler, so service and CLI
-    share one execution policy.  Three context-local scopes let a
+    share one execution policy.  Four context-local scopes let a
     caller (a server worker thread, a test) adjust one sweep without
     touching the process-global settings: :func:`settings_scope`,
     :func:`coalesce_scope` (install a
-    :class:`~repro.serve.scheduler.SingleFlight` table) and
+    :class:`~repro.serve.scheduler.SingleFlight` table),
+    :func:`pool_scope` (run on a long-lived
+    :class:`~repro.serve.scheduler.WorkerPool`) and
     :func:`progress_scope` (observe per-task completions).
 
 ``ResultCache``
@@ -451,7 +453,7 @@ class ResultCache:
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
-        self.last_journal_prune = {"journals": 0, "tmp": 0, "leased": 0}
+        self.last_journal_prune = {"journals": 0, "tmp": 0}
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -615,7 +617,7 @@ class ResultCache:
         }
 
     #: Journal counts removed by the most recent :meth:`prune` call
-    #: (``{"journals": n, "tmp": n, "leased": skipped}``) — surfaced by
+    #: (``{"journals": n, "tmp": n}``) — surfaced by
     #: the cache CLI.
     last_journal_prune: Dict[str, int]
 
@@ -729,6 +731,13 @@ _unique_executor: "contextvars.ContextVar[Optional[Callable]]" = (
     contextvars.ContextVar("repro_harness_unique_executor", default=None)
 )
 
+#: Context-local shared worker pool (a
+#: :class:`repro.serve.scheduler.WorkerPool`); ``None`` gives each
+#: pooled sweep a private pool for the length of the call.
+_worker_pool: "contextvars.ContextVar[Optional[object]]" = (
+    contextvars.ContextVar("repro_harness_worker_pool", default=None)
+)
+
 #: Context-local per-task progress observer (``(TaskResult) -> None``).
 _progress_callback: "contextvars.ContextVar[Optional[Callable]]" = (
     contextvars.ContextVar("repro_harness_progress", default=None)
@@ -770,6 +779,21 @@ def coalesce_scope(executor: Callable):
         yield executor
     finally:
         _unique_executor.reset(token)
+
+
+@contextlib.contextmanager
+def pool_scope(pool):
+    """Run this context's pooled sweeps on ``pool``.
+
+    ``pool`` is a :class:`repro.serve.scheduler.WorkerPool` its owner
+    keeps warm across sweeps and shuts down itself — the server hands
+    its one pool to every job thread this way.
+    """
+    token = _worker_pool.set(pool)
+    try:
+        yield pool
+    finally:
+        _worker_pool.reset(token)
 
 
 @contextlib.contextmanager
@@ -891,7 +915,7 @@ def run_sweep(
 
     This is a thin wrapper over
     :class:`repro.serve.scheduler.TaskScheduler` — it resolves the
-    effective settings/cache and the context-local coalescing and
+    effective settings/cache and the context-local coalescing, pool and
     progress hooks, delegates, and maintains the process-wide
     ``last_sweep_stats`` / ``total_failed_tasks`` counters.
     """
@@ -905,6 +929,7 @@ def run_sweep(
         cache=cache,
         unique_executor=_unique_executor.get(),
         on_task_done=_progress_callback.get(),
+        pool=_worker_pool.get(),
     )
     outcome = scheduler.run_sweep(tasks)
     last_sweep_stats = outcome.stats

@@ -81,8 +81,6 @@ def write_spec(path: str, state_dir: str, rules: List[Dict[str, object]]) -> Non
             raise ValueError(f"unknown chaos mode {rule.get('mode')!r}")
         if "match" not in rule:
             raise ValueError("chaos rule needs a 'match' pattern")
-        if "shard" in rule and not isinstance(rule["shard"], int):
-            raise ValueError("chaos rule 'shard' must be an integer index")
     os.makedirs(state_dir, exist_ok=True)
     with open(path, "w") as fh:
         json.dump({"state_dir": state_dir, "rules": rules}, fh, indent=1)
@@ -159,7 +157,6 @@ def maybe_injure_serve(
     site: str,
     detail: str = "",
     modes: Tuple[str, ...] = SERVE_CHAOS_MODES,
-    shard: Optional[int] = None,
 ) -> None:
     """Injure the serve process at an event publish/emit site.
 
@@ -169,12 +166,6 @@ def maybe_injure_serve(
     restricts which rule kinds may fire at this call site — the
     publish path only allows ``kill`` (a ``drop`` there would be a job
     failure, not a severed connection).
-
-    A rule may also carry ``"shard": N`` — **shard-kill mode** for the
-    serve cluster: it then fires only in the server process whose
-    ``--shard-index`` matches (the server threads its index through
-    ``shard``), so a failover smoke can SIGKILL exactly the shard that
-    owns a job while its peers stay healthy.
 
     No-op (one env lookup) unless ``REPRO_CHAOS`` is set.
     """
@@ -187,11 +178,6 @@ def maybe_injure_serve(
     for index, rule in enumerate(spec.get("rules", [])):
         mode = rule.get("mode")
         if mode not in SERVE_CHAOS_MODES or mode not in modes:
-            continue
-        rule_shard = rule.get("shard")
-        if rule_shard is not None and (
-            shard is None or int(rule_shard) != int(shard)
-        ):
             continue
         match = str(rule.get("match", ""))
         if not match:

@@ -14,11 +14,6 @@ caller observes each event exactly once even across reconnects.  429
 and 503 rejections are retried after the server's ``Retry-After``
 within a bounded busy budget; exhausting it raises :class:`BusyError`
 (CLI exit code ``EXIT_BUSY``).
-
-Against a sharded cluster the same wrapper follows 307 redirects to
-the owning shard, falls back to its original base URL when a redirect
-target dies (the survivor redirects afresh or serves the takeover),
-and bounds redirect loops by the same retry budget.
 """
 
 from __future__ import annotations
@@ -79,12 +74,6 @@ def _split_base_url(base_url: str) -> Tuple[str, int]:
     if not parts.hostname:
         raise ValueError(f"invalid base URL {base_url!r}")
     return parts.hostname, parts.port or 80
-
-
-def _base_of(location: str) -> str:
-    """Reduce a redirect ``Location`` to a ``http://host:port`` base."""
-    host, port = _split_base_url(location)
-    return f"http://{host}:{port}"
 
 
 def _request(
@@ -185,7 +174,6 @@ def stream_submit_resilient(
     backoff_s: float = 0.25,
     backoff_cap_s: float = 8.0,
     retry_budget_s: float = 60.0,
-    redirect_delay_s: float = 0.05,
     sleep: Callable[[float], None] = time.sleep,
     transport: Optional[Callable[..., Iterator[Dict[str, object]]]] = None,
     log: Optional[Callable[[str], None]] = None,
@@ -193,7 +181,7 @@ def stream_submit_resilient(
     """Stream a submit to completion across disconnects and busy spells.
 
     Yields each event exactly once (deduplicated by ``seq``, which the
-    server keeps gapless per job even across a cross-shard takeover).
+    server keeps gapless per job even across a restart).
     On a dropped connection the stream is re-established with a
     ``resume`` request carrying the last seen ``seq``, after an
     exponential backoff (``backoff_s * 2**(attempt-1)``, capped at
@@ -201,17 +189,6 @@ def stream_submit_resilient(
     attempts re-raises the connection error.  429/503 rejections sleep
     the server's ``Retry-After`` and retry until ``retry_budget_s``
     cumulative waiting is exhausted, then raise :class:`BusyError`.
-
-    **Cluster awareness**: a 307 response is followed to its
-    ``Location`` shard and the request repeated there.  The first
-    redirect after real data is free; each further consecutive hop
-    charges ``redirect_delay_s`` against the same ``retry_budget_s``,
-    so a redirect loop between confused shards terminates in
-    :class:`BusyError` rather than ping-ponging forever.  When a
-    connection *drops* while pointed at a redirect target (e.g. that
-    shard died), the client falls back to the original ``base_url``
-    and re-resolves ownership from there — the surviving shard either
-    serves the resume itself (post-takeover) or redirects afresh.
 
     ``sleep`` and ``transport`` are injection seams (tests substitute
     a fake clock and a scripted stream); ``transport`` defaults to
@@ -224,10 +201,7 @@ def stream_submit_resilient(
     if request.get("kind") == "resume" and isinstance(request.get("job"), str):
         job_id = str(request["job"])
     last_seq = int(request.get("after_seq", 0) or 0)  # type: ignore[call-overload]
-    origin = base_url
-    target = base_url
     attempt = 0
-    redirect_hops = 0
     busy_spent = 0.0
 
     while True:
@@ -238,7 +212,7 @@ def stream_submit_resilient(
             if "tenant" in request:
                 current["tenant"] = request["tenant"]
         try:
-            for event in send(target, current, sse=sse, timeout=timeout):
+            for event in send(base_url, current, sse=sse, timeout=timeout):
                 seq = event.get("seq")
                 if isinstance(seq, int) and not isinstance(seq, bool):
                     if seq <= last_seq:
@@ -249,7 +223,6 @@ def stream_submit_resilient(
                 ):
                     job_id = str(event["job"])
                 attempt = 0  # data flowed; reset the backoff ladder
-                redirect_hops = 0
                 yield event
                 if event.get("event") == "done":
                     return
@@ -257,22 +230,6 @@ def stream_submit_resilient(
             # disconnect is still a disconnect.
             raise ConnectionError("stream ended before the job finished")
         except ServerError as exc:
-            if exc.status == 307:
-                location = exc.headers.get("location")
-                if not location:
-                    raise
-                redirect_hops += 1
-                if redirect_hops > 1:
-                    # A second consecutive hop means the shards disagree
-                    # about ownership (e.g. mid-takeover): pace the loop
-                    # and bound it by the busy budget.
-                    if busy_spent + redirect_delay_s > retry_budget_s:
-                        raise BusyError(exc, busy_spent) from exc
-                    sleep(redirect_delay_s)
-                    busy_spent += redirect_delay_s
-                target = _base_of(location)
-                notify(f"redirected to owning shard at {target}")
-                continue
             if exc.status not in (429, 503):
                 raise
             delay = exc.retry_after()
@@ -282,16 +239,6 @@ def stream_submit_resilient(
             sleep(delay)
             busy_spent += delay
         except (ConnectionError, socket.timeout, OSError) as exc:
-            if target != origin:
-                # The redirect target died (or the takeover moved the
-                # job): fall back to the origin shard and let it
-                # re-resolve ownership before burning reconnects.
-                notify(
-                    f"connection to {target} lost ({exc}); "
-                    f"falling back to {origin}"
-                )
-                target = origin
-                redirect_hops = 0
             attempt += 1
             if attempt > reconnects:
                 raise

@@ -43,6 +43,11 @@ Record types (the ``"type"`` field of the body):
     so clients can deduplicate replays.  Heartbeats are *not*
     journaled — they carry no payload, only liveness.
 
+Once the final ``done`` record is fsynced, a zero-byte ``<job_id>.done``
+mark is created beside the journal.  Boot recovery, ``stats`` and
+``prune`` read the mark instead of decoding a finished journal; a crash
+between the record and the mark only costs that journal a decode.
+
 Concurrency: journal creation claims the final filename with
 ``O_CREAT | O_EXCL`` (the same pattern as ``ResultCache.store`` tmp
 claims and chaos rule firings), so two server processes sharing one
@@ -58,10 +63,13 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 #: Journal file suffix (``<job_id>.wal``).
 JOURNAL_SUFFIX = ".wal"
+
+#: Done-mark suffix (``<job_id>.done``, zero bytes).
+DONE_SUFFIX = ".done"
 
 #: ``"%08x %08x "`` — length field, crc field, two separators.
 RECORD_HEADER_BYTES = 18
@@ -77,17 +85,6 @@ JOB_ID_RE = re.compile(r"^[0-9a-f]{8,64}(-[0-9a-f]{1,16})?$")
 
 class JournalError(Exception):
     """A journal operation that could not be performed."""
-
-
-class FencedError(JournalError):
-    """A journal append rejected because the writer's epoch is stale.
-
-    Raised by a :attr:`JobJournal.fence` guard (installed by the serve
-    cluster layer) when the appending shard's slot has been taken over
-    at a newer epoch: the writer is a *zombie* — presumed dead, its
-    jobs already re-enqueued elsewhere — and must not interleave late
-    records with its successor's.
-    """
 
 
 def valid_job_id(job_id: str) -> bool:
@@ -153,9 +150,8 @@ def job_summary(records: List[Dict[str, object]]) -> Dict[str, object]:
 
     Shape (shared by ``GET /jobs/<id>`` and recovery):
     ``job``/``key``/``kind``/``tenant``/``spec``/``created_at`` from
-    the request record (absent fields are ``None``), ``shard``/
-    ``epoch`` (the cluster slot and lease epoch that admitted the job;
-    ``None`` for single-process journals), plus ``seq`` (the highest
+    the request record (absent fields are ``None``; other request
+    fields are ignored), plus ``seq`` (the highest
     journaled sequence number), ``events`` (count), ``done`` and
     ``ok`` (from a journaled final ``done`` event, else
     ``False``/``None``).
@@ -167,8 +163,6 @@ def job_summary(records: List[Dict[str, object]]) -> Dict[str, object]:
         "tenant": None,
         "spec": None,
         "created_at": None,
-        "shard": None,
-        "epoch": None,
         "seq": 0,
         "events": 0,
         "done": False,
@@ -177,10 +171,7 @@ def job_summary(records: List[Dict[str, object]]) -> Dict[str, object]:
     for record in records:
         rtype = record.get("type")
         if rtype == "request":
-            for name in (
-                "job", "key", "kind", "tenant", "spec", "created_at",
-                "shard", "epoch",
-            ):
+            for name in ("job", "key", "kind", "tenant", "spec", "created_at"):
                 summary[name] = record.get(name)
         elif rtype == "event":
             summary["events"] = int(summary["events"]) + 1
@@ -211,32 +202,31 @@ class JobJournal:
         self.path = Path(path)
         self._fd: Optional[int] = fd
         self._lock = threading.Lock()
-        #: Optional append guard installed by the cluster layer
-        #: (:meth:`repro.serve.cluster.ClusterMembership.check_fence`):
-        #: called before every write and expected to raise
-        #: :class:`FencedError` when this writer's shard epoch has been
-        #: superseded by a takeover.
-        self.fence: Optional[Callable[[], None]] = None
 
     @property
     def closed(self) -> bool:
         return self._fd is None
 
     def append(self, payload: Dict[str, object]) -> None:
-        """Append one framed record durably (no-op after close).
-
-        With a :attr:`fence` guard installed, the epoch check runs
-        under the append lock *before* the write — a fenced (zombie)
-        writer gets :class:`FencedError` and the file is untouched.
-        """
+        """Append one framed record durably (no-op after close)."""
         frame = encode_record(payload)
         with self._lock:
             if self._fd is None:
                 return
-            if self.fence is not None:
-                self.fence()
             os.write(self._fd, frame)
             os.fsync(self._fd)
+
+    def mark_done(self) -> None:
+        """Create the done mark (no-op after close).
+
+        Call it only after the ``done`` record's :meth:`append`
+        returned: that record is fsynced by then, so a mark on disk
+        always means a finished journal.
+        """
+        with self._lock:
+            if self._fd is None:
+                return
+            _mark(self.path)
 
     def close(self) -> None:
         with self._lock:
@@ -312,45 +302,72 @@ class JournalStore:
         records, _ = decode_records(data)
         return records
 
+    def _listing(self) -> Tuple[List[str], Set[str]]:
+        """Journal file stems and done-mark stems, from one directory
+        listing (neither validated as job ids)."""
+        try:
+            names = os.listdir(self.root)
+        except OSError:
+            return [], set()
+        stems: List[str] = []
+        marked: Set[str] = set()
+        for name in names:
+            if name.endswith(JOURNAL_SUFFIX):
+                stems.append(name[: -len(JOURNAL_SUFFIX)])
+            elif name.endswith(DONE_SUFFIX):
+                marked.add(name[: -len(DONE_SUFFIX)])
+        return stems, marked
+
     def job_ids(self) -> List[str]:
-        if not self.root.is_dir():
-            return []
-        ids = [
-            p.name[: -len(JOURNAL_SUFFIX)]
-            for p in self.root.glob(f"*{JOURNAL_SUFFIX}")
-        ]
-        return sorted(i for i in ids if valid_job_id(i))
+        return sorted(i for i in self._listing()[0] if valid_job_id(i))
 
-    def scan(self) -> Iterator[Tuple[str, List[Dict[str, object]]]]:
-        """Yield ``(job_id, records)`` for every journal, oldest first.
+    def _finished(self, job_id: str, marked: Set[str]) -> bool:
+        """Whether a journal reached ``done``: its mark, else a decode."""
+        return job_id in marked or bool(job_summary(self.read(job_id))["done"])
 
-        Ordering follows file mtime so crash recovery re-enqueues jobs
-        roughly in their original admission order.
+    def unfinished(self) -> Iterator[Tuple[str, List[Dict[str, object]]]]:
+        """Yield ``(job_id, records)`` for every journal that never
+        reached ``done``, oldest first.
+
+        Marked journals are never read.  An unmarked one that decodes as
+        finished (a crash landed between its record and its mark, or it
+        predates marks) gets its mark here.  Ordering follows file mtime
+        so crash recovery re-enqueues jobs roughly in their original
+        admission order.
         """
+        stems, marked = self._listing()
         entries = []
-        for job_id in self.job_ids():
+        for job_id in stems:
+            if job_id in marked or not valid_job_id(job_id):
+                continue
             try:
                 mtime = self.path_for(job_id).stat().st_mtime
             except OSError:
                 continue
             entries.append((mtime, job_id))
         for _, job_id in sorted(entries):
-            yield job_id, self.read(job_id)
+            records = self.read(job_id)
+            if not job_summary(records)["done"]:
+                yield job_id, records
+                continue
+            try:
+                _mark(self.path_for(job_id))
+            except OSError:
+                pass
 
     def stats(self) -> Dict[str, object]:
         """Journal accounting for ``cache stats`` / ``/cache/stats``."""
+        stems, marked = self._listing()
         journals = 0
         completed = 0
         total_bytes = 0
-        for job_id in self.job_ids():
-            path = self.path_for(job_id)
+        for job_id in filter(valid_job_id, stems):
             try:
-                total_bytes += path.stat().st_size
+                total_bytes += self.path_for(job_id).stat().st_size
             except OSError:
                 continue
             journals += 1
-            if job_summary(self.read(job_id))["done"]:
-                completed += 1
+            completed += self._finished(job_id, marked)
         return {
             "journals": journals,
             "completed": completed,
@@ -358,47 +375,27 @@ class JournalStore:
             "journal_bytes": total_bytes,
         }
 
-    def _protected_shards(self) -> Set[int]:
-        """Cluster slots whose journals must not be pruned right now.
-
-        A shard holding a live lease — or one whose journals a peer is
-        mid-takeover on — may be about to append to or re-enqueue its
-        journals; pruning them out from under it would turn a routine
-        sweep into data loss.  The cluster dir is a sibling of the
-        journal dir (``<cache>/cluster/`` next to ``<cache>/jobs/``);
-        absent (the single-process case) nothing is protected.
-        """
-        from repro.serve.cluster import CLUSTER_DIRNAME, protected_shards
-
-        return protected_shards(self.root.parent / CLUSTER_DIRNAME)
-
     def prune(self, days: float) -> Dict[str, int]:
         """Sweep old *completed* journals and orphaned tmp litter.
 
         Incomplete journals are never pruned — they are recoverable
-        work, and the server re-enqueues them on its next start.
-        Journals admitted by a cluster shard whose lease is live (or
-        mid-takeover) are skipped too, whatever their age: their owner
-        may append or recover them concurrently.  Returns
-        ``{"journals": removed, "tmp": removed, "leased": skipped}``.
+        work, and the server re-enqueues them on its next start.  A
+        pruned journal's done mark goes first, so a crash in between
+        leaves a journal that decodes as finished rather than a stray
+        mark.  Returns ``{"journals": removed, "tmp": removed}``.
         """
         if days < 0:
             raise ValueError("days cannot be negative")
         cutoff = time.time() - days * 86400.0
-        protected = self._protected_shards()
-        removed = {"journals": 0, "tmp": 0, "leased": 0}
-        for job_id in self.job_ids():
+        removed = {"journals": 0, "tmp": 0}
+        stems, marked = self._listing()
+        for job_id in filter(valid_job_id, stems):
             path = self.path_for(job_id)
             try:
-                if path.stat().st_mtime > cutoff:
+                if path.stat().st_mtime > cutoff or not self._finished(job_id, marked):
                     continue
-                summary = job_summary(self.read(job_id))
-                shard = summary.get("shard")
-                if isinstance(shard, int) and shard in protected:
-                    removed["leased"] += 1
-                    continue
-                if not summary["done"]:
-                    continue
+                if job_id in marked:
+                    _done_path(path).unlink()
                 path.unlink()
                 removed["journals"] += 1
             except OSError:
@@ -412,3 +409,12 @@ class JournalStore:
                 except OSError:
                     pass
         return removed
+
+
+def _done_path(journal_path: Path) -> Path:
+    return journal_path.with_suffix(DONE_SUFFIX)
+
+
+def _mark(journal_path: Path) -> None:
+    """Create the zero-byte done mark beside a journal."""
+    os.close(os.open(_done_path(journal_path), os.O_WRONLY | os.O_CREAT, 0o644))

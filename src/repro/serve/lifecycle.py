@@ -5,10 +5,9 @@
   numbers and the event buffer every subscriber replays and tails.
 * :class:`JobLifecycle` — every job one server knows.  It admits new
   jobs, dispatches at most ``concurrency`` of them onto worker threads
-  that run the ordinary harness path, and retires them.  It also
-  re-opens incomplete journals as queued jobs: its own at boot, a dead
-  peer's after fencing it (:class:`repro.serve.cluster.Shard`), and
-  one a resume asks for.
+  that run the ordinary harness path on one shared process pool, and
+  retires them.  At boot it re-opens incomplete journals as queued
+  jobs.
 
 The HTTP front-end, :class:`repro.serve.server.SweepServer`, admits and
 attaches to jobs through :class:`JobLifecycle` and never touches a
@@ -24,19 +23,17 @@ import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import (
-    TYPE_CHECKING, Callable, Deque, Dict, Iterator, List, NamedTuple,
-    Optional, Tuple,
+    TYPE_CHECKING, Deque, Dict, Iterator, List, NamedTuple, Optional, Tuple,
 )
 
 from repro.experiments import harness
 from repro.faults import chaos
 from repro.serve import journal as journal_mod
 from repro.serve import protocol
-from repro.serve.cluster import Standalone
-from repro.serve.journal import FencedError, JournalError, JournalStore
-from repro.serve.scheduler import SingleFlight
+from repro.serve.journal import JournalError, JournalStore
+from repro.serve.scheduler import SingleFlight, WorkerPool, detach_worker
 from repro.trace.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -158,15 +155,6 @@ class Job:
         #: clients attached to the stream (each submit or resume adds one).
         self.subscribers = 0
         self.journal_errors = 0
-        #: appends rejected by epoch fencing (this process is a zombie
-        #: whose slot was taken over) — a subset of journal_errors.
-        self.fenced_rejections = 0
-        #: server callback invoked (from the publishing thread) on a
-        #: fenced append, so the cluster counter updates immediately.
-        self.on_fenced: Optional[Callable[[], None]] = None
-        #: this server's shard index, threaded into chaos sites so
-        #: shard-scoped kill rules target exactly one process.
-        self.chaos_shard: Optional[int] = None
         #: ``result`` events a recovered job's journal already holds.
         #: Results publish in task order, so these are the re-run's
         #: first results; it skips them (the replay carries them).
@@ -177,10 +165,10 @@ class Job:
     def publish(self, event: Dict[str, object], done: bool = False) -> None:
         """Append one event (thread-safe; marks the job done if asked).
 
-        Stamps ``seq``/``job``, journals (fsync) the event, *then*
-        hands it to the event loop for fan-out.  A journal write
-        failure degrades to in-memory-only rather than failing the
-        job.
+        Stamps ``seq``/``job``, journals (fsync) the event — and for
+        the final event, the journal's done mark — *then* hands it to
+        the event loop for fan-out.  A journal write failure degrades
+        to in-memory-only rather than failing the job.
         """
         with self._seq_lock:
             self.seq += 1
@@ -190,21 +178,12 @@ class Job:
                     self.journal.append(
                         {"type": "event", "seq": self.seq, "event": event}
                     )
-                except FencedError:
-                    # This process is a zombie: its slot was taken over
-                    # and a peer owns the journal now.  The append was
-                    # rejected before touching the file; keep fanning
-                    # out in memory so local subscribers still unblock.
-                    self.journal_errors += 1
-                    self.fenced_rejections += 1
-                    callback = self.on_fenced
-                    if callback is not None:
-                        callback()
+                    if done:
+                        self.journal.mark_done()
                 except (OSError, JournalError):
                     self.journal_errors += 1
         chaos.maybe_injure_serve(
-            f"serve.publish:{event.get('event')}", self.job_id,
-            modes=("kill",), shard=self.chaos_shard,
+            f"serve.publish:{event.get('event')}", self.job_id, modes=("kill",)
         )
 
         def _apply() -> None:
@@ -288,14 +267,8 @@ class JobLifecycle:
     a worker thread.  :meth:`start` binds it to the running loop.
     """
 
-    def __init__(
-        self,
-        config: "ServeConfig",
-        node: Standalone,
-        registry: MetricsRegistry,
-    ) -> None:
+    def __init__(self, config: "ServeConfig", registry: MetricsRegistry) -> None:
         self.config = config
-        self.node = node
         self.counters = registry.namespace("serve")
         self.singleflight = SingleFlight(
             metrics=registry.namespace("serve.tasks")
@@ -311,6 +284,12 @@ class JobLifecycle:
             max_workers=max(1, config.concurrency),
             thread_name_prefix="repro-serve",
         )
+        #: the ``jobs`` worker processes every job thread runs on; built
+        #: on first use, so a ``jobs == 1`` server never starts one.
+        self.pool = WorkerPool(
+            config.jobs,
+            functools.partial(ProcessPoolExecutor, initializer=detach_worker),
+        )
         self.wait_hist = registry.histogram(
             "serve.wait_ms", [1.0, 10.0, 100.0, 1000.0, 10000.0]
         )
@@ -320,8 +299,8 @@ class JobLifecycle:
         self.drained: Optional[asyncio.Event] = None
 
     def start(self) -> int:
-        """Re-enqueue this server's incomplete journals and start
-        dispatching; returns how many jobs were recovered.
+        """Re-enqueue the incomplete journals and start dispatching;
+        returns how many jobs were recovered.
 
         Safe to repeat across restarts: re-running finished work hits
         the content-addressed cache, and concurrent duplicates coalesce
@@ -333,11 +312,10 @@ class JobLifecycle:
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         self.drained = asyncio.Event()
-        owned = [
-            entry for entry in self._incomplete()
-            if self.node.owns_journal(entry.summary, entry.key)
-        ]
-        recovered = len(self._reopen(None, owned))
+        recovered = sum(
+            self._enqueue_recovered(*entry) is not None
+            for entry in self._incomplete()
+        )
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
         return recovered
 
@@ -349,8 +327,13 @@ class JobLifecycle:
         if self._wake is not None:
             self._wake.set()
 
+    def close(self) -> None:
+        """After the drain: join the job threads, then the pool's workers."""
+        self.executor.shutdown(wait=True)
+        self.pool.shutdown()
+
     # ------------------------------------------------------------------
-    # Admission and adoption
+    # Admission and recovery
 
     def admit(self, key: str, request: protocol.SubmitRequest) -> Job:
         """Create, journal, register, and enqueue a brand-new job."""
@@ -363,8 +346,7 @@ class JobLifecycle:
                     jnl = self.journals.create(job_id)
                 except FileExistsError:
                     job_id = f"{key[:16]}-{os.urandom(4).hex()}"
-            self.node.guard(jnl)
-            record: Dict[str, object] = {
+            jnl.append({
                 "type": "request",
                 "job": job_id,
                 "key": key,
@@ -372,9 +354,7 @@ class JobLifecycle:
                 "tenant": request.tenant,
                 "spec": request.spec,
                 "created_at": time.time(),
-            }
-            self.node.stamp(record)
-            jnl.append(record)
+            })
         except (OSError, JournalError):
             if jnl is not None:
                 jnl.close()
@@ -386,63 +366,14 @@ class JobLifecycle:
             {"event": "queued", "queue_depth": len(self.queue) + 1},
         )
 
-    def adopt(self, job_id: str, summary: Dict[str, object]) -> Optional[Job]:
-        """Re-open the incomplete journal a resume asked a cluster shard
-        for, fencing the dead peer that admitted it first; ``None`` when
-        it cannot run here."""
-        parsed = recoverable_request(summary)
-        if parsed is None:
-            return None
-        shard = summary.get("shard")
-        slot = shard if isinstance(shard, int) and shard != self.node.index else None
-        jobs = self._reopen(slot, [Recoverable(job_id, summary, *parsed)])
-        return jobs[0] if jobs else None
-
-    def sweep_dead_peers(self) -> None:
-        """Fence dead peers and adopt their incomplete journals (each
-        lease tick of a cluster shard)."""
-        dead = self.node.unswept_dead_slots()
-        if not dead:
-            return
-        by_slot: Dict[int, List[Recoverable]] = {}
-        for entry in self._incomplete():
-            shard = entry.summary.get("shard")
-            if isinstance(shard, int):
-                by_slot.setdefault(shard, []).append(entry)
-        for slot in dead:
-            self._reopen(slot, by_slot.get(slot, []))
-
     def _incomplete(self) -> Iterator[Recoverable]:
         """Every journal that never reached ``done`` and can be re-run,
         oldest first."""
-        for job_id, records in self.journals.scan():
+        for job_id, records in self.journals.unfinished():
             summary = journal_mod.job_summary(records)
-            parsed = None if summary["done"] else recoverable_request(summary)
+            parsed = recoverable_request(summary)
             if parsed is not None:
                 yield Recoverable(job_id, summary, *parsed)
-
-    def _reopen(
-        self, slot: Optional[int], entries: List[Recoverable]
-    ) -> List[Job]:
-        """Re-open incomplete journals as queued jobs.
-
-        ``slot`` is the dead peer that admitted them (``None`` for this
-        shard's own): it is fenced first, and nothing is adopted unless
-        that succeeds.
-        """
-        if slot is not None and not self.node.take_over(slot, len(entries)):
-            return []
-        jobs = [
-            job
-            for job in (
-                self._enqueue_recovered(*entry, takeover_from=slot)
-                for entry in entries
-            )
-            if job is not None
-        ]
-        if slot is not None:
-            self.node.count_adopted(len(jobs))
-        return jobs
 
     def _enqueue_recovered(
         self,
@@ -450,7 +381,6 @@ class JobLifecycle:
         summary: Dict[str, object],
         request: protocol.SubmitRequest,
         key: str,
-        takeover_from: Optional[int] = None,
     ) -> Optional[Job]:
         """Re-open one incomplete journal as a live queued job.
 
@@ -459,13 +389,11 @@ class JobLifecycle:
         as superseded instead.
         """
         assert self._loop is not None and self._wake is not None
-        if job_id in self.jobs_by_id:
-            return None  # already live here
         if key in self.jobs_by_key:
             self._close_superseded(job_id, summary)
             return None
         try:
-            jnl, records = self._open(job_id)
+            jnl, records = self.journals.open_existing(job_id)
         except (OSError, JournalError):
             return None
         job = Job(
@@ -485,22 +413,11 @@ class JobLifecycle:
         job.replayed_results = sum(
             1 for e in job.events if e.get("event") == "result"
         )
-        recovered: Dict[str, object] = {"event": "recovered"}
-        if takeover_from is not None:
-            recovered["takeover_from"] = takeover_from
-        return self._enqueue(job, "recovered_jobs", recovered)
-
-    def _open(self, job_id: str):
-        """Re-open a journal for appending, behind this server's fence."""
-        jnl, records = self.journals.open_existing(job_id)
-        self.node.guard(jnl)
-        return jnl, records
+        return self._enqueue(job, "recovered_jobs", {"event": "recovered"})
 
     def _enqueue(self, job: Job, counter: str, event: Dict[str, object]) -> Job:
         """Register and queue ``job``, then publish its first ``event``."""
         assert self._wake is not None
-        job.chaos_shard = self.node.index
-        job.on_fenced = self.node.count_fenced
         self.jobs_by_key[job.key] = job
         self.jobs_by_id[job.job_id] = job
         self.queue.push(job.request.tenant, job)
@@ -512,7 +429,7 @@ class JobLifecycle:
     def _close_superseded(self, job_id: str, summary: Dict[str, object]) -> None:
         """Finish a duplicate incomplete journal so it becomes prunable."""
         try:
-            jnl, _records = self._open(job_id)
+            jnl, _records = self.journals.open_existing(job_id)
             seq = int(summary["seq"]) + 1  # type: ignore[call-overload]
             jnl.append(
                 {
@@ -527,6 +444,7 @@ class JobLifecycle:
                     },
                 }
             )
+            jnl.mark_done()
             jnl.close()
             self.counters.counter("superseded_journals").add()
         except (OSError, JournalError):
@@ -609,7 +527,6 @@ class JobLifecycle:
             job.publish({"event": "done", "ok": False}, done=True)
             self.counters.counter("jobs_failed").add()
         job.close_journal()
-        # Every degraded write, fenced ones included, counts here once.
         if job.journal_errors:
             self.counters.counter("journal_errors").add(job.journal_errors)
         # Keep a bounded tail of finished jobs addressable for
@@ -646,6 +563,7 @@ class JobLifecycle:
         try:
             with harness.settings_scope(self.config.job_settings()), \
                     harness.coalesce_scope(self.singleflight), \
+                    harness.pool_scope(self.pool), \
                     harness.progress_scope(on_task):
                 ok = self._execute(request, job)
         except Exception as exc:  # noqa: BLE001 - reported to the client

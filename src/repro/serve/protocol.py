@@ -10,11 +10,7 @@ dependency rule applies to the service too):
   carries ``Accept: text/event-stream`` — until the job's final
   ``done`` event;
 * ``GET /metrics``, ``GET /cache/stats`` and ``GET /healthz`` return
-  one JSON document;
-* in cluster mode a shard that does not own a request's coalesce key
-  answers ``307 Temporary Redirect`` with a ``Location`` header (and a
-  JSON ``redirect`` body) naming the owning shard — the client repeats
-  the same POST there (:func:`redirect_response`).
+  one JSON document.
 
 Request kinds (the ``"kind"`` field of the submit body):
 
@@ -74,7 +70,6 @@ MAX_FUZZ_CASES = 500
 #: Reason phrases for the handful of statuses the server emits.
 _REASONS = {
     200: "OK",
-    307: "Temporary Redirect",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
@@ -144,17 +139,6 @@ def json_response(status: int, payload: object, extra_headers: Tuple[str, ...] =
         "",
     ]
     return "\r\n".join(head).encode("latin-1") + body
-
-
-def redirect_response(location: str, payload: Dict[str, object]) -> bytes:
-    """A ``307 Temporary Redirect`` pointing at another cluster shard.
-
-    The body is a JSON ``redirect`` event (``shard``, ``location``) so
-    non-HTTP-aware clients can still see where to go; HTTP clients use
-    the ``Location`` header.  307 (not 302) because the client must
-    repeat the *POST* with the same body at the new shard.
-    """
-    return json_response(307, payload, (f"Location: {location}",))
 
 
 def stream_head(sse: bool) -> bytes:

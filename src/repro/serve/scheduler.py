@@ -20,9 +20,19 @@ Pieces
     * ``clock`` — all sleeping, timing and future-waiting goes through
       a :class:`SystemClock`; tests substitute a fake clock and assert
       the retry/backoff schedule *exactly* instead of timing it.
-    * ``pool_factory`` — worker pools are built through an injectable
-      factory (default :class:`~concurrent.futures.ProcessPoolExecutor`),
-      so scheduling decisions can be exercised without real processes.
+    * ``pool`` — the :class:`WorkerPool` to run on; its ``factory``
+      builds the executors (default
+      :class:`~concurrent.futures.ProcessPoolExecutor`), so scheduling
+      decisions can be exercised without real processes.
+
+``WorkerPool``
+    One lazily built process pool of ``jobs`` workers that runs at most
+    ``jobs`` tasks at once and queues the rest, reused by every sweep
+    and retry round that holds it and rebuilt only after a timeout
+    terminates its workers or a dead worker breaks it.  The server owns
+    one for its lifetime and hands it to job threads via
+    :func:`repro.experiments.harness.pool_scope`; a sweep run without
+    one (the CLI) holds a private one for the length of the call.
 
 ``SingleFlight``
     A thread-safe in-flight task table keyed by the content-addressed
@@ -36,12 +46,16 @@ Pieces
 from __future__ import annotations
 
 import functools
+import os
+import signal
+import stat
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.experiments.harness import (
@@ -80,8 +94,8 @@ class TaskScheduler:
 
     One scheduler executes one policy (:class:`HarnessSettings`); it is
     cheap to construct, so the harness builds a fresh one per
-    :func:`~repro.experiments.harness.run_sweep` call while the server
-    keeps longer-lived ones per job.
+    :func:`~repro.experiments.harness.run_sweep` call.  Worker
+    processes outlive it when it is handed a shared :class:`WorkerPool`.
 
     ``unique_executor`` is the coalescing seam: when set, the distinct
     uncached tasks of a sweep are handed to it (signature
@@ -96,18 +110,18 @@ class TaskScheduler:
         settings: "HarnessSettings",
         cache: Optional["ResultCache"] = None,
         clock: Optional[SystemClock] = None,
-        pool_factory: Optional[Callable[..., ProcessPoolExecutor]] = None,
         unique_executor: Optional[Callable] = None,
         on_task_done: Optional[Callable[["TaskResult"], None]] = None,
+        pool: Optional["WorkerPool"] = None,
     ) -> None:
         self.settings = settings
         self.cache = cache
         self.clock = clock if clock is not None else SystemClock()
-        self.pool_factory = (
-            pool_factory if pool_factory is not None else ProcessPoolExecutor
-        )
         self.unique_executor = unique_executor
         self.on_task_done = on_task_done
+        #: the shared pool to run on; ``None`` holds a private one for
+        #: each pooled call.
+        self.pool = pool
 
     # ------------------------------------------------------------------
     # Sweep orchestration (cache -> dedupe -> execute -> fan back out)
@@ -179,11 +193,17 @@ class TaskScheduler:
     def execute_distinct(self, tasks: List["SweepTask"]) -> List["TaskResult"]:
         """Pooled or serial execution of distinct tasks, input order.
 
-        A lone task runs in-thread (no pool start-up) unless a task
-        timeout is set: only a pooled worker can be preempted.
+        With ``jobs > 1`` tasks run on workers.  A lone task runs on one
+        too when there is a shared pool (the server's, warm) or a
+        timeout (only a pooled worker can be preempted); otherwise it
+        skips the pool start-up and runs in this thread.
         """
         settings = self.settings
-        if settings.jobs > 1 and (len(tasks) > 1 or settings.task_timeout_s is not None):
+        if settings.jobs > 1 and (
+            len(tasks) > 1
+            or self.pool is not None
+            or settings.task_timeout_s is not None
+        ):
             return self._run_pooled(tasks)
         return [self._execute_with_retry(task) for task in tasks]
 
@@ -241,22 +261,6 @@ class TaskScheduler:
             error=last_error,
         )
 
-    @staticmethod
-    def _terminate_workers(executor) -> None:
-        """Forcefully end a pool's worker processes (hung-worker cleanup).
-
-        ``ProcessPoolExecutor`` has no public kill switch; terminating
-        the worker ``Process`` objects directly is the only way to
-        reclaim a worker stuck in an unbounded simulation without
-        blocking interpreter shutdown on its (non-daemon) process join.
-        """
-        processes = getattr(executor, "_processes", None) or {}
-        for proc in list(processes.values()):
-            try:
-                proc.terminate()
-            except Exception:  # noqa: BLE001 - best-effort cleanup
-                pass
-
     def _run_pooled(self, tasks: List["SweepTask"]) -> List["TaskResult"]:
         """Fan distinct tasks out across worker processes, in input order.
 
@@ -270,11 +274,28 @@ class TaskScheduler:
           later rounds run each task in its *own* single-worker pool,
           so a persistent crasher exhausts only its own attempt budget
           and innocent bystanders complete;
-        * a **hung** worker trips ``task_timeout_s``; the stuck process
-          is terminated and the task retried;
+        * a **hung** worker trips ``task_timeout_s``, counted from when
+          the task got a worker; the pool's workers are terminated, the
+          pool discarded and the task retried on a fresh one;
         * retry rounds back off exponentially and give up after
           ``settings.retries`` extra attempts, recording the last error.
+
+        A hang or break on a shared pool also costs every other sweep's
+        in-flight tasks one attempt (their futures break or are
+        cancelled), and those sweeps switch to isolation too.
         """
+        pool = self.pool
+        if pool is None:
+            pool = WorkerPool(min(self.settings.jobs, len(tasks)))
+        try:
+            return self._pooled_rounds(tasks, pool)
+        finally:
+            if pool is not self.pool:
+                pool.shutdown()
+
+    def _pooled_rounds(
+        self, tasks: List["SweepTask"], pool: "WorkerPool"
+    ) -> List["TaskResult"]:
         from repro.experiments.harness import TaskResult, _pool_entry
 
         settings = self.settings
@@ -291,77 +312,11 @@ class TaskScheduler:
         while remaining:
             if round_index:
                 self._backoff_sleep(round_index - 1)
-            retry: List[int] = []
-            broke = False
-            if isolate:
-                # Crash attribution: each task gets a private pool (still
-                # at most ``jobs`` worker processes alive at once).
-                batches = [
-                    remaining[k : k + settings.jobs]
-                    for k in range(0, len(remaining), settings.jobs)
-                ]
-            else:
-                batches = [remaining]
-            for batch in batches:
-                if isolate:
-                    executors = {
-                        i: self.pool_factory(max_workers=1) for i in batch
-                    }
-                else:
-                    shared = self.pool_factory(
-                        max_workers=min(settings.jobs, len(batch))
-                    )
-                    executors = {i: shared for i in batch}
-                futures = {
-                    i: executors[i].submit(entry, tasks[i]) for i in batch
-                }
-                hung = set()
-                for i in batch:
-                    attempts[i] += 1
-                    try:
-                        values, wall_s = self.clock.wait_future(
-                            futures[i], settings.task_timeout_s
-                        )
-                    except FutureTimeoutError:
-                        futures[i].cancel()
-                        hung.add(executors[i])
-                        last_error[i] = (
-                            f"timed out after {settings.task_timeout_s:g}s"
-                        )
-                        retry.append(i)
-                    except BrokenProcessPool:
-                        # A worker died (crash/kill/OOM); every future on
-                        # its pool is lost and must be retried.
-                        broke = True
-                        last_error[i] = "worker process died (broken pool)"
-                        retry.append(i)
-                    except KeyboardInterrupt:
-                        for ex in set(executors.values()):
-                            self._terminate_workers(ex)
-                            ex.shutdown(wait=False, cancel_futures=True)
-                        raise
-                    except Exception as exc:  # noqa: BLE001 - captured per task
-                        last_error[i] = f"{type(exc).__name__}: {exc}"
-                        retry.append(i)
-                    else:
-                        results[i] = TaskResult(
-                            task=tasks[i],
-                            values=values,
-                            wall_s=wall_s,
-                            attempts=attempts[i],
-                        )
-                for ex in set(executors.values()):
-                    if ex in hung:
-                        # A hung worker never returns; joining it would
-                        # hang the sweep (and interpreter exit) right
-                        # behind it.
-                        self._terminate_workers(ex)
-                        ex.shutdown(wait=False, cancel_futures=True)
-                    else:
-                        ex.shutdown(wait=True, cancel_futures=True)
-            if broke:
-                isolate = True
-
+            retry, broke = self._pooled_round(
+                tasks, remaining, pool, isolate, entry,
+                attempts, last_error, results,
+            )
+            isolate = isolate or broke
             remaining = []
             for i in retry:
                 if attempts[i] > settings.retries:
@@ -377,6 +332,282 @@ class TaskScheduler:
             round_index += 1
 
         return [results[i] for i in range(len(tasks))]
+
+    def _pooled_round(
+        self,
+        tasks: List["SweepTask"],
+        order: List[int],
+        pool: "WorkerPool",
+        private: bool,
+        entry: Callable,
+        attempts: Dict[int, int],
+        last_error: Dict[int, str],
+        results: Dict[int, "TaskResult"],
+    ) -> Tuple[List[int], bool]:
+        """One attempt at each task of ``order``: ``(retry, broke)``.
+
+        Every task is queued on the pool at once and collected in order.
+        A task's wait starts only once it has started on a worker, so
+        time spent queued behind other sweeps' tasks never counts
+        against its timeout.  An executor whose worker hung or died is
+        discarded once no started task of this round is left on it.
+        """
+        from repro.experiments.harness import TaskResult
+
+        timeout_s = self.settings.task_timeout_s
+        runs = deque(
+            (i, pool.submit(entry, tasks[i], private=private)) for i in order
+        )
+        dead = set()  # executors whose workers hung or died
+        retry: List[int] = []
+        broke = False
+        try:
+            while runs:
+                i, run = runs[0]
+                run.started.wait()
+                runs.popleft()
+                attempts[i] += 1
+                try:
+                    values, wall_s = self.clock.wait_future(
+                        run.future, timeout_s
+                    )
+                except FutureTimeoutError:
+                    run.future.cancel()
+                    pool.retire(run.executor)  # later tasks start elsewhere
+                    dead.add(run.executor)
+                    last_error[i] = f"timed out after {timeout_s:g}s"
+                    retry.append(i)
+                except (BrokenProcessPool, CancelledError):
+                    # A worker died (crash/kill/OOM), or another sweep
+                    # discarded the shared pool: every future on it is
+                    # lost and must be retried.
+                    broke = True
+                    dead.add(run.executor)
+                    last_error[i] = "worker process died (broken pool)"
+                    retry.append(i)
+                except Exception as exc:  # noqa: BLE001 - captured per task
+                    last_error[i] = f"{type(exc).__name__}: {exc}"
+                    retry.append(i)
+                else:
+                    results[i] = TaskResult(
+                        task=tasks[i],
+                        values=values,
+                        wall_s=wall_s,
+                        attempts=attempts[i],
+                    )
+                if private and run.executor not in dead | {None}:
+                    run.executor.shutdown(wait=True, cancel_futures=True)
+                # A hung worker never returns; joining it would hang the
+                # sweep (and interpreter exit) right behind it.  Its
+                # executor goes once this round has nothing else on it.
+                busy = {r.executor for _, r in runs if r.started.is_set()}
+                for executor in dead - busy - {None}:
+                    pool.discard(executor)
+                dead &= busy
+        finally:
+            # Only on an abort (KeyboardInterrupt): drop what is queued,
+            # end what started.
+            for _, run in runs:
+                if not pool.withdraw(run):
+                    run.started.wait()
+                    dead.add(run.executor)
+            for executor in dead - {None}:
+                pool.discard(executor)
+        return retry, broke
+
+
+def _terminate_workers(executor) -> None:
+    """Forcefully end a pool's worker processes (hung-worker cleanup).
+
+    ``ProcessPoolExecutor`` has no public kill switch; terminating the
+    worker ``Process`` objects directly is the only way to reclaim a
+    worker stuck in an unbounded simulation without blocking
+    interpreter shutdown on its (non-daemon) process join.
+    """
+    processes = getattr(executor, "_processes", None) or {}
+    for proc in list(processes.values()):
+        try:
+            proc.terminate()
+        except Exception:  # noqa: BLE001 - best-effort cleanup
+            pass
+
+
+def detach_worker() -> None:
+    """Pool-worker initializer: drop what a forked worker inherited from
+    the server that forked it, and tie its life to the server's.
+
+    * Signal handlers: the server's SIGTERM/SIGINT handlers only wake
+      its event loop, so a worker keeping them would survive the
+      ``terminate`` that reclaims a hung pool.
+    * Sockets: a worker of a long-lived pool outlives the request that
+      started it.  Its copy of a client connection would keep that
+      connection open after the server closed it, so the client would
+      never see its stream end.  The pool's own queues are pipes, and
+      descriptors 0-2 are left alone.
+    * The server's death: an idle worker of a killed server would wait
+      on its task queue forever, so a daemon thread exits the worker
+      within a second of being orphaned.
+    """
+    server = os.getppid()
+
+    def exit_with_server() -> None:
+        while os.getppid() == server:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=exit_with_server, daemon=True).start()
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    for fd_dir in ("/proc/self/fd", "/dev/fd"):
+        try:
+            fds = [int(name) for name in os.listdir(fd_dir)]
+        except OSError:
+            continue
+        for fd in fds:
+            try:
+                if fd > 2 and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.close(fd)
+            except OSError:
+                pass  # the listing's own descriptor, closed by now
+        return
+
+
+class Run:
+    """One task handed to a :class:`WorkerPool`: queued until a worker
+    is free, then ``started`` is set and ``executor``/``future`` say
+    where it runs."""
+
+    __slots__ = ("fn", "args", "private", "started", "executor", "future")
+
+    def __init__(self, fn: Callable, args: tuple, private: bool) -> None:
+        self.fn = fn
+        self.args = args
+        self.private = private
+        self.started = threading.Event()
+        self.executor: Optional[ProcessPoolExecutor] = None
+        self.future: Optional[Future] = None
+
+
+class WorkerPool:
+    """One process pool of ``workers`` workers, built on first use.
+
+    Thread-safe: every sweep holding it submits to the same executor.
+    At most ``workers`` tasks run at once across every sweep, an
+    isolated retry's private single-worker executor included; the rest
+    wait in one FIFO queue.  A task starts from the done callback of
+    the one it replaces, so no worker idles while a sweep thread wakes
+    up.  A sweep that saw a worker hang or die calls :meth:`discard`;
+    the next start builds a fresh executor.  ``factory`` builds
+    executors (``factory(max_workers=n)``).
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        factory: Optional[Callable[..., ProcessPoolExecutor]] = None,
+    ) -> None:
+        self.workers = workers
+        self.factory = factory if factory is not None else ProcessPoolExecutor
+        self._lock = threading.Lock()
+        self._free = workers
+        self._waiting: "deque[Run]" = deque()
+        self._closed = False
+        self.current: Optional[ProcessPoolExecutor] = None
+
+    def submit(self, fn: Callable, *args, private: bool = False) -> Run:
+        """Queue ``fn(*args)`` to run on the current executor, or on a
+        new single-worker one if ``private``; it starts now if a worker
+        is free."""
+        run = Run(fn, args, private)
+        with self._lock:
+            if not self._free:
+                self._waiting.append(run)
+                return run
+            self._free -= 1
+        if not self._start(run):
+            self._finished()
+        return run
+
+    def withdraw(self, run: Run) -> bool:
+        """Drop ``run`` if it is still queued; False once it started."""
+        with self._lock:
+            try:
+                self._waiting.remove(run)
+            except ValueError:
+                return False
+        return True
+
+    def _start(self, run: Run) -> bool:
+        """Start ``run`` on the slot its caller holds; False (and the
+        run fails at once) if no executor would take it."""
+        try:
+            run.executor, run.future = self._dispatch(run)
+        except Exception as exc:  # noqa: BLE001 - the pool is shut down
+            run.future = Future()
+            run.future.set_exception(exc)
+            run.started.set()
+            return False
+        run.started.set()
+        run.future.add_done_callback(self._finished)
+        return True
+
+    def _finished(self, _future: Optional[Future] = None) -> None:
+        """A slot came free: start the next queued run on it."""
+        while True:
+            with self._lock:
+                if not self._waiting:
+                    self._free += 1
+                    return
+                run = self._waiting.popleft()
+            if self._start(run):
+                return
+
+    def _dispatch(self, run: Run) -> Tuple[ProcessPoolExecutor, Future]:
+        if run.private:
+            if self._closed:
+                raise RuntimeError("worker pool is shut down")
+            executor = self.factory(max_workers=1)
+            return executor, executor.submit(run.fn, *run.args)
+        executor = self._executor()
+        try:
+            return executor, executor.submit(run.fn, *run.args)
+        except (BrokenProcessPool, RuntimeError):
+            # Another sweep's worker broke it (and that sweep has not
+            # discarded it yet), or that sweep discarded it just now.
+            self.discard(executor)
+        executor = self._executor()
+        return executor, executor.submit(run.fn, *run.args)
+
+    def _executor(self) -> ProcessPoolExecutor:
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker pool is shut down")
+            if self.current is None:
+                self.current = self.factory(max_workers=self.workers)
+            return self.current
+
+    def retire(self, executor: ProcessPoolExecutor) -> None:
+        """Start no more tasks on ``executor`` (a no-op if another sweep
+        replaced it already)."""
+        with self._lock:
+            if self.current is executor:
+                self.current = None
+
+    def discard(self, executor: ProcessPoolExecutor) -> None:
+        """Retire ``executor``, terminate its workers and drop it
+        without joining."""
+        self.retire(executor)
+        _terminate_workers(executor)
+        executor.shutdown(wait=False, cancel_futures=True)
+
+    def shutdown(self) -> None:
+        """Join the current executor's workers (the server's drain)."""
+        with self._lock:
+            self._closed = True
+            executor, self.current = self.current, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
 
 
 # ----------------------------------------------------------------------

@@ -7,21 +7,18 @@ Module map of :mod:`repro.serve`, following one request:
 * this module — the HTTP front-end: :class:`ServeConfig`, routing,
   ``POST /submit`` (request-level single-flight: identical in-flight
   requests attach to one job), resume, ``/metrics``, ``/jobs/<id>``,
-  ``/cluster``, ``/cache/stats``, the drain-time history record and
-  the CLI entry point.  SIGTERM/SIGINT drains: new submits get 503,
+  ``/cache/stats``, the drain-time history record and the CLI entry
+  point.  SIGTERM/SIGINT drains: new submits get 503,
   queued and running jobs complete, then the process exits 0.
 * :mod:`repro.serve.lifecycle` — the job lifecycle: weighted fair
   per-tenant queueing with a bounded queue (429 beyond ``max_queue``),
   at most ``concurrency`` jobs on worker threads, journal-before-emit
-  event fan-out, and recovery and adoption of incomplete journals.
-* :mod:`repro.serve.scheduler` — task-level single-flight and the
-  harness's process pool, timeouts and retries.
+  event fan-out, boot recovery of incomplete journals, and the one
+  warm process pool (``--jobs`` workers) every job shares.
+* :mod:`repro.serve.scheduler` — task-level single-flight, the shared
+  worker pool, timeouts and retries.
 * :mod:`repro.serve.journal` — the fsynced per-job journals under
   ``<cache>/jobs/``.
-* :mod:`repro.serve.cluster` — the standalone or shard role: hash-ring
-  routing (``307`` to the owning shard), leases, epoch fencing and
-  dead-peer takeover under ``<cache>/cluster/``, and the ``--cluster
-  N`` launcher.
 * :mod:`repro.serve.client` — the streaming client (``python -m repro
   submit``); :mod:`repro.serve.smoke` — the end-to-end smoke over real
   server processes (``python -m repro.serve.smoke``).
@@ -42,15 +39,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import harness
 from repro.faults import chaos
-from repro.serve import cluster as cluster_mod
 from repro.serve import journal as journal_mod
 from repro.serve import protocol
-from repro.serve.cluster import ClusterError, Shard, Standalone
 from repro.serve.lifecycle import (  # noqa: F401 - FairQueue is re-exported
     FairQueue,
     Job,
     JobLifecycle,
-    recoverable_request,
 )
 from repro.trace.metrics import MetricsRegistry
 
@@ -63,10 +57,11 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
-    #: worker processes per sweep (the harness pool, as on the CLI).
+    #: tasks running at once across every job, on one shared pool of
+    #: that many workers (``1`` runs tasks in the job threads, with no
+    #: pool).
     jobs: int = 1
-    #: jobs executing at once (worker threads; the process-pool total
-    #: is bounded by ``concurrency * jobs``).
+    #: jobs executing at once (worker threads).
     concurrency: int = 2
     #: queued-job bound; submits beyond it are rejected with 429.
     max_queue: int = 64
@@ -82,17 +77,6 @@ class ServeConfig:
     #: seconds a subscriber may stall (unread backpressure) before the
     #: server disconnects it rather than wedge the fan-out.
     subscriber_stall_s: float = 30.0
-    #: cluster size this process is one shard of (1 = standalone).
-    shards: int = 1
-    #: this process's shard slot (``None`` outside cluster mode; with
-    #: ``shards > 1`` it defaults to 0).
-    shard_index: Optional[int] = None
-    #: heartbeat lease time-to-live; a peer whose lease is older is
-    #: presumed dead and its incomplete journals become claimable.
-    lease_ttl_s: float = cluster_mod.DEFAULT_LEASE_TTL_S
-    #: ``host:port`` peers should redirect clients to (defaults to the
-    #: actual listen address — override behind NAT/proxies).
-    advertise: Optional[str] = None
 
     def job_settings(self) -> harness.HarnessSettings:
         """The harness policy each job thread scopes in."""
@@ -116,52 +100,23 @@ class SweepServer:
         self.config = config
         self.registry = MetricsRegistry()
         self.serve_ns = self.registry.namespace("serve")
-        cache_dir = Path(config.job_settings().resolve_cache_dir())
-        self.node: Standalone = (
-            Shard(
-                cache_dir / cluster_mod.CLUSTER_DIRNAME,
-                config.shard_index or 0,
-                config.shards,
-                config.lease_ttl_s,
-                self.registry.namespace("cluster"),
-            )
-            if config.shards > 1 or config.shard_index is not None
-            else Standalone()
-        )
-        self.lifecycle = JobLifecycle(config, self.node, self.registry)
+        self.lifecycle = JobLifecycle(config, self.registry)
         self.queue = self.lifecycle.queue
         self.jobs_by_id = self.lifecycle.jobs_by_id
         self.executor = self.lifecycle.executor
         self.recovered_jobs = 0
         self._server: Optional[asyncio.AbstractServer] = None
-        self._heartbeat: Optional[asyncio.Future] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
 
     async def start(self) -> List[Tuple[str, int]]:
-        # Bind first: in cluster mode the lease advertises the *actual*
-        # listen address (--port 0 picks a free port).  Recovery still
-        # runs before any request is served — it is synchronous on the
-        # loop thread, so accepted connections queue behind it.
+        # Recovery runs before any request is served: it is synchronous
+        # on the loop thread, so accepted connections queue behind it.
         self._server = await asyncio.start_server(
             self._handle_conn, self.config.host, self.config.port
         )
-        host, port = self.addresses()[0]
-        try:
-            self.node.join(self.config.advertise or f"{host}:{port}")
-        except ClusterError:
-            self._server.close()
-            raise
         self.recovered_jobs = self.lifecycle.start()
-        if isinstance(self.node, Shard):
-            self._heartbeat = asyncio.ensure_future(
-                self.node.heartbeat(
-                    self.lifecycle.drained,
-                    self.request_shutdown,
-                    self.lifecycle.sweep_dead_peers,
-                )
-            )
         return self.addresses()
 
     def addresses(self) -> List[Tuple[str, int]]:
@@ -177,23 +132,13 @@ class SweepServer:
         await self.lifecycle.drained.wait()
 
     async def close(self) -> None:
-        if self._heartbeat is not None:
-            self._heartbeat.cancel()
-            try:
-                await self._heartbeat
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
         # Streams tail their jobs; drained jobs are done, so give the
         # writers one scheduling round to flush and close.
         await asyncio.sleep(0.05)
-        self.executor.shutdown(wait=True)
-        # The lease goes only after the drain: while jobs were still
-        # finishing, peers must not have considered this slot dead and
-        # fenced it mid-write.
-        self.node.leave()
+        self.lifecycle.close()
 
     # ------------------------------------------------------------------
     # HTTP handling (event-loop thread)
@@ -243,8 +188,6 @@ class SweepServer:
             }
         elif path == "/metrics":
             payload = self.metrics_snapshot()
-        elif path == "/cluster":
-            payload = self.node.status()
         elif path == "/cache/stats":
             cache = harness.ResultCache(
                 self.config.job_settings().resolve_cache_dir()
@@ -259,7 +202,6 @@ class SweepServer:
                     "POST /submit",
                     "GET /jobs/<id>",
                     "GET /metrics",
-                    "GET /cluster",
                     "GET /cache/stats",
                     "GET /healthz",
                 ],
@@ -277,7 +219,6 @@ class SweepServer:
         self.serve_ns.counter("inflight_tasks").set(
             float(len(self.lifecycle.singleflight.inflight_keys()))
         )
-        self.node.refresh_gauges(queued, active)
         return self.registry.as_dict()
 
     async def _handle_submit(
@@ -314,12 +255,6 @@ class SweepServer:
         if coalesced:
             self.serve_ns.counter("coalesce_hits").add()
         else:
-            # A job already live here (e.g. adopted in a takeover)
-            # coalesces locally; only *new* keys route by the ring.
-            redirect = self.node.redirect_for(key)
-            if redirect is not None:
-                await _redirect(writer, *redirect)
-                return
             if len(self.queue) >= self.config.max_queue:
                 self.serve_ns.counter("rejected_total").add()
                 await _reply(
@@ -356,24 +291,6 @@ class SweepServer:
             await _reply(writer, 404, {"error": f"unknown job {job_id}"})
             return
         summary = journal_mod.job_summary(records)
-        if not summary["done"] and isinstance(self.node, Shard):
-            # Incomplete and not live here.  Either the owner is a live
-            # peer (redirect the client there) or it is dead — adopt
-            # the job *now* rather than make the client wait for the
-            # periodic sweep, and stream the stitched result.
-            parsed = recoverable_request(summary)
-            key = parsed[1] if parsed is not None else str(summary["key"] or "")
-            redirect = self.node.redirect_for(key) if key else None
-            if redirect is not None:
-                await _redirect(writer, *redirect, job=job_id)
-                return
-            job = self.lifecycle.adopt(job_id, summary)
-            if job is not None:
-                await self._attach(
-                    writer, sse, job, coalesced=True, resumed=True,
-                    adopted=True, after_seq=after_seq,
-                )
-                return
         replay = [
             record["event"]
             for record in records
@@ -450,10 +367,7 @@ class SweepServer:
             after_seq=after_seq,
             heartbeat_s=heartbeat_s if heartbeat_s > 0 else None,
         ):
-            chaos.maybe_injure_serve(
-                f"serve.emit:{event.get('event')}", job.job_id,
-                shard=job.chaos_shard,
-            )
+            chaos.maybe_injure_serve(f"serve.emit:{event.get('event')}", job.job_id)
             if event.get("event") == "heartbeat":
                 self.serve_ns.counter("heartbeats").add()
             writer.write(protocol.encode_event(event, sse))
@@ -474,19 +388,6 @@ async def _reply(
 ) -> None:
     """Write one complete JSON response."""
     writer.write(protocol.json_response(status, payload, headers))
-    await writer.drain()
-
-
-async def _redirect(
-    writer: asyncio.StreamWriter, owner: int, location: str, **extra: object
-) -> None:
-    """307 a client to the shard that owns its key."""
-    writer.write(
-        protocol.redirect_response(
-            location,
-            {"event": "redirect", "shard": owner, "location": location, **extra},
-        )
-    )
     await writer.drain()
 
 
@@ -513,7 +414,7 @@ def serve_history_record(server: SweepServer) -> Dict[str, object]:
     def metric(name: str) -> float:
         return float(snapshot.get(name, 0.0))
 
-    record: Dict[str, object] = {
+    return {
         "kind": "serve",
         "when": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
@@ -534,8 +435,6 @@ def serve_history_record(server: SweepServer) -> Dict[str, object]:
             if key.startswith("serve.wait_ms.")
         },
     }
-    record.update(server.node.history(metric))
-    return record
 
 
 def append_serve_history(server: SweepServer) -> Optional[Path]:
@@ -560,7 +459,7 @@ async def amain(config: ServeConfig) -> int:
     print(
         f"serve: listening on http://{host}:{port} "
         f"(concurrency={config.concurrency}, jobs={config.jobs}, "
-        f"max-queue={config.max_queue}{server.node.banner()})",
+        f"max-queue={config.max_queue})",
         flush=True,
     )
     if server.recovered_jobs:
@@ -612,11 +511,6 @@ def build_config(args: argparse.Namespace) -> ServeConfig:
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         heartbeat_s=args.heartbeat,
-        shards=getattr(args, "shards", 1) or 1,
-        shard_index=getattr(args, "shard_index", None),
-        lease_ttl_s=getattr(args, "lease_ttl", None)
-        or cluster_mod.DEFAULT_LEASE_TTL_S,
-        advertise=getattr(args, "advertise", None),
     )
 
 
@@ -627,7 +521,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per sweep (the harness pool)",
+        help="tasks running at once across all jobs, on one warm pool "
+        "of N workers",
     )
     parser.add_argument(
         "--concurrency", type=int, default=2, metavar="N",
@@ -649,40 +544,11 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--heartbeat", type=float, default=10.0, metavar="S",
         help="idle-stream heartbeat interval (<= 0 disables)",
     )
-    parser.add_argument(
-        "--cluster", type=int, default=None, metavar="N",
-        help="launch N shard processes sharing this cache dir "
-        "(supervisor mode; each shard gets --shards N --shard-index I)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="total shard count in the cluster this server belongs to",
-    )
-    parser.add_argument(
-        "--shard-index", type=int, default=None, metavar="I",
-        help="this server's shard slot (0-based; implies cluster mode)",
-    )
-    parser.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="S",
-        help="shard heartbeat-lease TTL; a peer silent this long is "
-        f"declared dead (default {cluster_mod.DEFAULT_LEASE_TTL_S})",
-    )
-    parser.add_argument(
-        "--advertise", metavar="HOST:PORT", default=None,
-        help="address peers/clients should use to reach this shard "
-        "(defaults to the bound host:port)",
-    )
 
 
 def run_from_args(args: argparse.Namespace) -> int:
-    """Dispatch parsed serve arguments: supervisor, shard, or standalone."""
-    if args.cluster is not None:
-        return cluster_mod.run_cluster(args)
-    try:
-        return asyncio.run(amain(build_config(args)))
-    except ClusterError as exc:
-        print(f"serve: {exc}", flush=True)
-        return 1
+    """Run a server from parsed serve arguments until it drains."""
+    return asyncio.run(amain(build_config(args)))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

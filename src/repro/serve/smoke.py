@@ -13,21 +13,23 @@ spec, over one shared harness:
   server restarts **on the same port**, recovers the journal, and the
   resilient client resumes: every seq exactly once, gapless from 1,
   result digest equal to an uninterrupted run's.
-* ``shard-failover`` — two shards share one cache dir; the client
-  submits via shard 1 a request the ring assigns to shard 0, which a
-  shard-scoped rule SIGKILLs mid-stream; shard 1 fences slot 0,
-  adopts the journal, and serves a gapless resumed stream whose
-  digest equals a clean run's; its drain writes a history record.
+* ``hang-rebuild`` — a server with ``--jobs 2 --task-timeout 5
+  --retries 1`` and a chaos rule that hangs one app: that submit times
+  out, the server terminates and discards its worker pool, and the
+  retry ends ``done ok``; a second, distinct submit runs on the rebuilt
+  pool; the drain leaves no worker process behind and writes a history
+  record.  Worker processes are read from ``/proc`` (Linux).
 
 Every server is drained with SIGTERM (exit 0, "queue drained") unless
-a scenario kills it.  On failure a scenario's ``<cache>/jobs`` and
-``<cache>/cluster`` dirs are copied to ``./serve-smoke-<scenario>/``.
-Takes no options; exit status 0 when every row passes.
+a scenario kills it.  On failure a scenario's ``<cache>/jobs`` dir is
+copied to ``./serve-smoke-<scenario>/``.  Takes no options; exit
+status 0 when every row passes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import glob
 import hashlib
 import json
 import os
@@ -39,11 +41,10 @@ import tempfile
 import threading
 import time
 import traceback
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Set
 
 from repro.faults import chaos
-from repro.serve import client, protocol
-from repro.serve.cluster import HashRing, read_fence_epoch
+from repro.serve import client
 from repro.serve.journal import JournalStore, job_summary
 
 #: Shared by the three coalescing clients — identical, so it coalesces.
@@ -53,7 +54,8 @@ CRASH_POINTS = ("started", "progress", "result")
 
 BOOT_TIMEOUT_S = 30.0
 STREAM_TIMEOUT_S = 300.0
-LEASE_TTL_S = 1.0
+#: ``--task-timeout`` of the hang-rebuild row.
+HANG_TIMEOUT_S = 5.0
 
 Events = List[Dict[str, object]]
 
@@ -86,6 +88,18 @@ class Server:
     @property
     def port(self) -> int:
         return int(self.base_url.rsplit(":", 1)[1])
+
+    def workers(self) -> Set[int]:
+        """Pids of this server's child processes: its pool workers."""
+        pids: Set[int] = set()
+        for path in glob.glob(f"/proc/{self.proc.pid}/task/*/children"):
+            try:
+                with open(path) as fh:
+                    pids.update(int(pid) for pid in fh.read().split())
+            except OSError:
+                pass  # the thread exited
+        return pids
+
 
     def wait_for_line(self, text: str, timeout: float = 10.0) -> None:
         deadline = time.monotonic() + timeout
@@ -156,10 +170,9 @@ def scenario(name: str) -> Iterator[Harness]:
         artifact = f"serve-smoke-{slug}"
         shutil.rmtree(artifact, ignore_errors=True)
         os.makedirs(artifact)
-        for sub in ("jobs", "cluster"):
-            src = os.path.join(harness.cache_dir, sub)
-            if os.path.isdir(src):
-                shutil.copytree(src, os.path.join(artifact, sub))
+        src = os.path.join(harness.cache_dir, "jobs")
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(artifact, "jobs"))
         print(f"smoke: {name} state preserved at ./{artifact}", flush=True)
         raise
     finally:
@@ -292,48 +305,45 @@ def crash_resume(h: Harness, point: str) -> None:
     second.drain()
 
 
-def request_owned_by_shard_0() -> Dict[str, object]:
-    ring = HashRing(2)
-    for seed in range(256):
-        doc: Dict[str, object] = dict(APP_REQUEST, mode="speedup", seed=seed)
-        if ring.owner(protocol.parse_submit(doc).coalesce_key()) == 0:
-            return doc
-    raise AssertionError("no seed hashed to shard 0")
+def wait_until(condition: Callable[[], object], what: str, timeout: float = 30.0):
+    """Poll ``condition`` until it returns something truthy; return it."""
+    deadline = time.monotonic() + timeout
+    while True:
+        value = condition()
+        if value:
+            return value
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.05)
 
 
-def shard_failover(h: Harness) -> None:
-    h.arm([{"match": "serve.publish:progress", "mode": "kill", "times": 1, "shard": 0}])
-    request = request_owned_by_shard_0()
-    shard = ["--shards", "2", "--lease-ttl", str(LEASE_TTL_S), "--shard-index"]
-    dead = h.start(*shard, "0")
-    survivor = h.start(*shard, "1")
-    # Submitted via the wrong shard: 307 to shard 0, which dies mid-run.
-    join = resilient(survivor.base_url, request)
-    dead.expect_killed()
+def hang_rebuild(h: Harness) -> None:
+    h.arm([{"match": APP_REQUEST["app"], "mode": "hang", "times": 1, "hang_s": 120.0}])
+    server = h.start(
+        "--jobs", "2", "--task-timeout", str(HANG_TIMEOUT_S), "--retries", "1"
+    )
+    join = in_background(lambda: list(client.stream_submit(
+        server.base_url, dict(APP_REQUEST), timeout=STREAM_TIMEOUT_S,
+    )))
+    hung_pool = wait_until(server.workers, "the worker pool to start")
     events = join()
-    assert_resumed_stream(events)
-    recovered = [e for e in events if e.get("event") == "recovered"]
-    assert recovered and recovered[0].get("takeover_from") == 0, (
-        f"no takeover recovery event: {recovered}"
-    )
-    assert read_fence_epoch(os.path.join(h.cache_dir, "cluster"), 0) >= 2, (
-        "slot 0's fence epoch was never bumped"
-    )
-    metrics = client.get_json(survivor.base_url, "/metrics")
-    assert metrics["cluster.takeovers_total"] == 1.0, metrics
-    assert metrics["cluster.takeover_jobs_adopted"] == 1.0, metrics
-    store = h.journals()
-    assert any(job_summary(store.read(j))["done"] for j in store.job_ids()), (
-        "the adopted job's journal never reached done"
-    )
-    # Shard 0 is dead, so the survivor owns the whole ring now.
-    assert_clean_digest(survivor.base_url, request, events)
-    survivor.drain()
+    (sweep,) = [e for e in events if e.get("event") == "sweep"]
+    assert events[-1].get("ok") is True, events[-1]
+    assert sweep["retried"] == 1 and sweep["failed"] == 0, sweep
+    wait_until(lambda: not server.workers() & hung_pool, "the hung pool to exit")
+    rebuilt = server.workers()
+    assert rebuilt, "no worker pool after the retry"
+    second = list(client.stream_submit(
+        server.base_url, dict(APP_REQUEST, app="database"),
+        timeout=STREAM_TIMEOUT_S,
+    ))
+    assert second[-1].get("ok") is True, second[-1]
+    workers = server.workers()
+    assert rebuilt <= workers, f"pool rebuilt again: {rebuilt} -> {workers}"
+    server.drain()
+    left = [pid for pid in hung_pool | workers if os.path.exists(f"/proc/{pid}")]
+    assert not left, f"worker processes outlived the drain: {left}"
     serve_records = [r for r in h.history() if r.get("kind") == "serve"]
-    assert serve_records, "no serve history record"
-    tail = serve_records[-1]
-    assert tail["shard"] == 1 and "admission" in tail, tail
-    assert tail["cluster"]["takeovers_total"] == 1.0, tail
+    assert serve_records and "admission" in serve_records[-1], serve_records
 
 
 SCENARIOS: Dict[str, Callable[[Harness], None]] = {
@@ -342,7 +352,7 @@ SCENARIOS: Dict[str, Callable[[Harness], None]] = {
         f"crash-resume@{point}": (lambda h, point=point: crash_resume(h, point))
         for point in CRASH_POINTS
     },
-    "shard-failover": shard_failover,
+    "hang-rebuild": hang_rebuild,
 }
 
 

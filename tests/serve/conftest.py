@@ -45,7 +45,7 @@ class RunningServer:
         self.server = SweepServer(self.config)
         try:
             addresses = await self.server.start()
-        except Exception as exc:  # surface boot failures (port, lease)
+        except Exception as exc:  # surface boot failures (port in use)
             self._boot_error = exc
             self._ready.set()
             return

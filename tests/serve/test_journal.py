@@ -170,7 +170,7 @@ class TestStore:
         for n, job_id in enumerate(["1" * 16, "2" * 16, "3" * 16]):
             self._write(store, job_id, [{"type": "request", "job": job_id}])
             os.utime(store.path_for(job_id), (1000.0 + n, 1000.0 + n))
-        assert [job_id for job_id, _ in store.scan()] == ["1" * 16, "2" * 16, "3" * 16]
+        assert [job_id for job_id, _ in store.unfinished()] == ["1" * 16, "2" * 16, "3" * 16]
 
     def test_summary_and_stats(self, tmp_path):
         store = JournalStore(tmp_path)
@@ -205,7 +205,7 @@ class TestStore:
             os.utime(name, (1.0, 1.0))  # ancient
 
         removed = store.prune(days=30)
-        assert removed == {"journals": 1, "tmp": 1, "leased": 0}
+        assert removed == {"journals": 1, "tmp": 1}
         assert store.job_ids() == ["b" * 16], "incomplete journals are kept"
         assert not (tmp_path / "orphan.tmp123").exists()
 
@@ -215,7 +215,7 @@ class TestStore:
             store, "a" * 16,
             [{"type": "event", "seq": 1, "event": {"event": "done", "ok": True}}],
         )
-        assert store.prune(days=30) == {"journals": 0, "tmp": 0, "leased": 0}
+        assert store.prune(days=30) == {"journals": 0, "tmp": 0}
         assert store.job_ids() == ["a" * 16]
 
     def test_prune_rejects_negative_days(self, tmp_path):
@@ -234,5 +234,5 @@ class TestResultCacheIntegration:
 
         assert cache.stats()["jobs"]["journals"] == 1
         assert cache.prune(days=7) == 0  # no cache entries, only journals
-        assert cache.last_journal_prune == {"journals": 1, "tmp": 0, "leased": 0}
+        assert cache.last_journal_prune == {"journals": 1, "tmp": 0}
         assert store.job_ids() == []

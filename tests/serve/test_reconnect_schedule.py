@@ -40,11 +40,9 @@ class FakeTransport:
     def __init__(self, attempts):
         self.attempts = list(attempts)
         self.requests = []
-        self.urls = []  # base_url per attempt: the redirect trail
 
     def __call__(self, base_url, request, sse=False, timeout=None):
         self.requests.append(dict(request))
-        self.urls.append(base_url)
         script = self.attempts.pop(0)
         if isinstance(script, BaseException):
             raise script
@@ -202,84 +200,3 @@ class TestReconnectSchedule:
         events, delays = _run(transport)
         assert delays == []
         assert [e["event"] for e in events].count("heartbeat") == 2
-
-
-def _redirect(port):
-    return ServerError(
-        307,
-        {"event": "redirect", "location": f"http://127.0.0.1:{port}/submit"},
-        {"location": f"http://127.0.0.1:{port}/submit"},
-    )
-
-
-class TestRedirectSchedule:
-    """Cluster redirect handling, pinned with the same scripted rig."""
-
-    def test_redirect_followed_and_request_repeated_at_target(self):
-        transport = FakeTransport([
-            _redirect(9001),
-            [_ev("accepted", coalesced=False), _ev("done", 1, ok=True)],
-        ])
-        events, delays = _run(transport)
-        assert delays == [], "the first redirect hop is free"
-        assert transport.urls == ["http://fake", "http://127.0.0.1:9001"]
-        # A 307 repeats the *original* request at the new base, not a
-        # resume (no job id was ever assigned).
-        assert transport.requests[1] == SUBMIT
-        assert events[-1]["ok"] is True
-
-    def test_takeover_mid_stream_falls_back_to_origin_and_resumes(self):
-        """redirect -> owning shard dies mid-stream -> client re-resolves
-        via its origin URL and resumes with the last seq it saw."""
-        transport = FakeTransport([
-            _redirect(9001),
-            [_ev("accepted"), _ev("queued", 1), _ev("started", 2),
-             Drop("shard A killed")],
-            [_ev("accepted", resumed=True, adopted=True), _ev("result", 3),
-             _ev("done", 4, ok=True)],
-        ])
-        events, delays = _run(transport)
-        assert transport.urls == [
-            "http://fake", "http://127.0.0.1:9001", "http://fake",
-        ], "after the redirect target dies the client returns to origin"
-        assert transport.requests[2] == {
-            "kind": "resume", "job": JOB, "after_seq": 2, "tenant": "t",
-        }
-        assert delays == [0.25]
-        assert [e["event"] for e in events][-1] == "done"
-
-    def test_seq_dedup_across_shards(self):
-        """A takeover replays journaled seqs from the new shard; the
-        client must still observe each seq exactly once."""
-        transport = FakeTransport([
-            _redirect(9001),
-            [_ev("accepted"), _ev("queued", 1), _ev("started", 2), Drop()],
-            # The surviving shard replays 1..2 from the journal before
-            # the continuation events.
-            [_ev("accepted", resumed=True), _ev("queued", 1),
-             _ev("started", 2), _ev("result", 3), _ev("done", 4, ok=True)],
-        ])
-        events, _ = _run(transport)
-        assert [e["seq"] for e in events if "seq" in e] == [1, 2, 3, 4]
-
-    def test_redirect_ping_pong_bounded_by_retry_budget(self):
-        transport = FakeTransport(
-            [_redirect(9001), _redirect(9002)] * 3
-        )
-        sleep = FakeSleep()
-        with pytest.raises(BusyError):
-            list(
-                stream_submit_resilient(
-                    "http://fake", SUBMIT, sleep=sleep, transport=transport,
-                    retry_budget_s=0.12, redirect_delay_s=0.05,
-                )
-            )
-        # Hop 1 is free; hops 2 and 3 charge 0.05 each (0.10 spent);
-        # hop 4 would overrun the 0.12 budget and raises instead.
-        assert sleep.delays == [0.05, 0.05]
-
-    def test_redirect_without_location_propagates(self):
-        transport = FakeTransport([ServerError(307, {"event": "redirect"}, {})])
-        with pytest.raises(ServerError) as info:
-            _run(transport)
-        assert info.value.status == 307

@@ -26,7 +26,7 @@ import pytest
 
 from repro.faults import chaos
 from repro.serve import client, protocol
-from repro.serve.journal import JournalStore, job_summary
+from repro.serve.journal import DONE_SUFFIX, JournalStore, encode_record, job_summary
 from tests.serve.test_server import gated_execute  # noqa: F401 (fixture)
 
 APP_REQUEST = {"kind": "app", "app": "array-insert", "pages": 2.0, "tenant": "t"}
@@ -140,31 +140,32 @@ class TestResume:
         assert kinds[-1] == "done"
 
 
-class TestRecovery:
-    def _plant_incomplete_journal(self, doc=APP_REQUEST, results=0):
-        request = protocol.parse_submit(dict(doc))
-        key = request.coalesce_key()
-        job_id = f"{key[:16]}-deadbeef"
-        store = _journal_store()
-        jnl = store.create(job_id)
-        jnl.append({"type": "request", "job": job_id, "key": key,
-                    "kind": request.kind, "tenant": request.tenant,
-                    "spec": request.spec, "created_at": 0.0})
-        events = [{"event": "queued"}, {"event": "started"}]
-        # Killed after journaling the first ``results`` results.
-        events += [
-            {"event": "result", "task": f"{t.app_name}@{t.n_pages:g}",
-             "mode": t.mode, "values": {}, "cached": False, "error": None}
-            for t in protocol.build_tasks(request)[:results]
-        ]
-        for seq, event in enumerate(events, start=1):
-            jnl.append({"type": "event", "seq": seq,
-                        "event": dict(event, job=job_id, seq=seq)})
-        jnl.close()
-        return job_id, store
+def _plant_incomplete_journal(doc=APP_REQUEST, results=0):
+    request = protocol.parse_submit(dict(doc))
+    key = request.coalesce_key()
+    job_id = f"{key[:16]}-deadbeef"
+    store = _journal_store()
+    jnl = store.create(job_id)
+    jnl.append({"type": "request", "job": job_id, "key": key,
+                "kind": request.kind, "tenant": request.tenant,
+                "spec": request.spec, "created_at": 0.0})
+    events = [{"event": "queued"}, {"event": "started"}]
+    # Killed after journaling the first ``results`` results.
+    events += [
+        {"event": "result", "task": f"{t.app_name}@{t.n_pages:g}",
+         "mode": t.mode, "values": {}, "cached": False, "error": None}
+        for t in protocol.build_tasks(request)[:results]
+    ]
+    for seq, event in enumerate(events, start=1):
+        jnl.append({"type": "event", "seq": seq,
+                    "event": dict(event, job=job_id, seq=seq)})
+    jnl.close()
+    return job_id, store
 
+
+class TestRecovery:
     def test_incomplete_journal_is_reenqueued_and_finishes(self, serve_factory):
-        job_id, store = self._plant_incomplete_journal()
+        job_id, store = _plant_incomplete_journal()
         server = serve_factory()
         assert server.server.recovered_jobs == 1
 
@@ -193,7 +194,7 @@ class TestRecovery:
 
     @pytest.mark.parametrize("doc", [APP_REQUEST, TWO_SEED_REQUEST], ids=["app", "tasks"])
     def test_journaled_result_is_not_published_twice(self, serve_factory, doc):
-        job_id, store = self._plant_incomplete_journal(doc, results=1)
+        job_id, store = _plant_incomplete_journal(doc, results=1)
         server = serve_factory()
         assert server.server.recovered_jobs == 1
         _wait_until(
@@ -219,7 +220,7 @@ class TestRecovery:
         assert events[-1]["event"] == "done" and events[-1]["ok"] is True
 
     def test_torn_tail_recovers_without_error(self, serve_factory):
-        job_id, store = self._plant_incomplete_journal()
+        job_id, store = _plant_incomplete_journal()
         path = store.path_for(job_id)
         with open(path, "ab") as fh:
             fh.write(b"\x00\x17garbage torn half-rec")  # crash litter
@@ -231,6 +232,174 @@ class TestRecovery:
             message="recovered job to finish",
         )
         assert job_summary(store.read(job_id))["ok"] is True
+
+
+    def test_duplicate_key_journals_are_superseded_at_boot(
+        self, serve_factory, gated_execute  # noqa: F811
+    ):
+        """The same request journaled twice (crash, resubmit, crash
+        again) runs once: the oldest journal is re-opened and the other
+        is closed out as superseded, which also marks it done."""
+        request = protocol.parse_submit(dict(APP_REQUEST))
+        key = request.coalesce_key()
+        store = _journal_store()
+        older, newer = "a" * 16 + "-00000000", "b" * 16 + "-11111111"
+        for n, job_id in enumerate((older, newer)):
+            jnl = store.create(job_id)
+            jnl.append({"type": "request", "job": job_id, "key": key,
+                        "kind": "app", "tenant": "t", "spec": request.spec,
+                        "created_at": 0.0})
+            jnl.append({"type": "event", "seq": 1,
+                        "event": {"event": "queued", "job": job_id, "seq": 1}})
+            jnl.close()
+            os.utime(store.path_for(job_id), (1000.0 + n, 1000.0 + n))
+
+        server = serve_factory()
+        try:
+            assert server.server.recovered_jobs == 1
+            assert server.metrics()["serve.superseded_journals"] == 1.0
+        finally:
+            gated_execute["release"].set()
+        _wait_until(
+            lambda: job_summary(store.read(older))["done"],
+            message="surviving job to finish",
+        )
+        assert len(gated_execute["calls"]) == 1, "the work ran exactly once"
+        loser = job_summary(store.read(newer))
+        assert loser["done"] is True and loser["ok"] is False
+        last = [r["event"] for r in store.read(newer) if r.get("type") == "event"][-1]
+        assert last["superseded"] is True
+        assert store.path_for(newer).with_suffix(DONE_SUFFIX).exists()
+
+    def test_shard_stamped_journals_recover_and_prune(self, serve_factory):
+        """Journals written by a serve-cluster shard carry ``shard`` and
+        ``epoch`` in their request record; a single server still
+        recovers the incomplete one and prunes the finished one."""
+        job_id, store = _plant_incomplete_journal()
+        records = store.read(job_id)
+        stamp = {"shard": 0, "epoch": 3}
+        store.path_for(job_id).write_bytes(b"".join(
+            encode_record(dict(r, **stamp) if r["type"] == "request" else r)
+            for r in records
+        ))
+        finished = "f" * 16 + "-00000000"
+        jnl = store.create(finished)
+        jnl.append(dict(records[0], job=finished, **stamp))
+        jnl.append({"type": "event", "seq": 1,
+                    "event": {"event": "done", "ok": True, "job": finished, "seq": 1}})
+        jnl.close()
+
+        server = serve_factory()
+        assert server.server.recovered_jobs == 1
+        _wait_until(
+            lambda: job_summary(store.read(job_id))["done"],
+            message="recovered job to finish",
+        )
+        events = [r["event"] for r in store.read(job_id) if r.get("type") == "event"]
+        assert [e["seq"] for e in events] == list(range(1, len(events) + 1))
+        assert events[len(records) - 1]["event"] == "recovered"
+        assert events[-1]["event"] == "done" and events[-1]["ok"] is True
+        server.stop()
+
+        os.utime(store.path_for(finished), (1.0, 1.0))  # ancient
+        assert store.prune(days=1) == {"journals": 1, "tmp": 0}
+        assert store.job_ids() == [job_id]
+
+
+class TestDoneMarks:
+    """A finished journal gets a zero-byte ``<id>.done`` mark, so boot,
+    stats and prune never decode it."""
+
+    @staticmethod
+    def _plant_finished(store, count):
+        """``count`` finished 11-record journals, each with its mark."""
+        records = [{"type": "request", "job": None, "key": "k", "kind": "app",
+                    "tenant": "t", "spec": {"app": "array-insert"},
+                    "created_at": 0.0}]
+        records += [{"type": "event", "seq": seq,
+                     "event": {"event": "progress", "seq": seq}}
+                    for seq in range(1, 10)]
+        records.append({"type": "event", "seq": 10,
+                        "event": {"event": "done", "ok": True, "seq": 10}})
+        store.root.mkdir(parents=True, exist_ok=True)
+        ids = [f"{n:016x}-00000000" for n in range(count)]
+        for job_id in ids:
+            records[0]["job"] = job_id
+            path = store.path_for(job_id)
+            path.write_bytes(b"".join(encode_record(r) for r in records))
+            path.with_suffix(DONE_SUFFIX).touch()
+        return ids
+
+    def test_finished_run_is_marked_and_status_is_unchanged(self, serve_factory):
+        server = serve_factory()
+        events = list(client.stream_submit(server.base_url, APP_REQUEST, timeout=120))
+        job_id = events[0]["job"]
+        store = _journal_store()
+        assert store.path_for(job_id).with_suffix(DONE_SUFFIX).exists()
+        server.stop()
+
+        server = serve_factory()
+        status = client.get_json(server.base_url, f"/jobs/{job_id}")
+        assert status == {
+            "job": job_id,
+            "key": protocol.parse_submit(dict(APP_REQUEST)).coalesce_key(),
+            "kind": "app", "tenant": "t",
+            "status": "done", "ok": True, "seq": events[-1]["seq"],
+            "events": len(events) - 1, "live": False,
+        }
+
+    def test_unmarked_finished_journal_decodes_then_gets_its_mark(
+        self, serve_factory
+    ):
+        """A crash between the done record and its mark (or a journal
+        older than marks) costs one decode, at the next boot."""
+        store = _journal_store()
+        (job_id,) = self._plant_finished(store, 1)
+        mark = store.path_for(job_id).with_suffix(DONE_SUFFIX)
+        mark.unlink()
+        assert store.stats()["completed"] == 1
+        server = serve_factory()
+        assert server.server.recovered_jobs == 0
+        assert mark.exists()
+
+    def test_boot_time_does_not_grow_with_finished_journals(
+        self, tmp_path, serve_factory
+    ):
+        import asyncio
+
+        from repro.serve.server import ServeConfig, SweepServer
+
+        empty, full = tmp_path / "empty", tmp_path / "full"
+        store = JournalStore(full / "jobs")
+        self._plant_finished(store, 2000)
+        # One incomplete journal among them still recovers.
+        job_id, _ = _plant_incomplete_journal()
+        os.replace(_journal_store().path_for(job_id), store.path_for(job_id))
+        server = serve_factory(cache_dir=str(full))
+        assert server.server.recovered_jobs == 1
+        server.stop()
+        assert store.stats() == {
+            "journals": 2001, "completed": 2001, "recoverable": 0,
+            "journal_bytes": store.stats()["journal_bytes"],
+        }
+
+        async def boot_s(cache_dir):
+            server = SweepServer(ServeConfig(port=0, cache_dir=str(cache_dir)))
+            t0 = time.perf_counter()
+            await server.start()
+            elapsed = time.perf_counter() - t0
+            server.request_shutdown()
+            await server.wait_drained()
+            await server.close()
+            return elapsed
+
+        async def best_of_three(cache_dir):
+            return min([await boot_s(cache_dir) for _ in range(3)])
+
+        baseline = asyncio.run(best_of_three(empty))
+        loaded = asyncio.run(best_of_three(full))
+        print(f"boot: {baseline * 1e3:.2f} ms empty, {loaded * 1e3:.2f} ms on 2,001")
+        assert loaded - baseline < 0.010, (baseline, loaded)
 
 
 class TestJobStatus:

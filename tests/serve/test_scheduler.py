@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import functools
+import os
+import signal
+import socket
+import stat
+import subprocess
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.experiments import harness
-from repro.serve.scheduler import TaskScheduler
+from repro.serve.scheduler import TaskScheduler, WorkerPool, detach_worker
 
 
 def _tasks():
@@ -140,3 +150,67 @@ def test_results_are_cache_key_stable(tmp_path, mode):
     cache = harness.ResultCache(settings.resolve_cache_dir())
     TaskScheduler(settings, cache=cache).run_sweep([task])
     assert cache.load(make("array-insert", 2.0)) is not None
+
+
+def _fd_is_socket(fd: int) -> bool:
+    try:
+        return stat.S_ISSOCK(os.fstat(fd).st_mode)
+    except OSError:
+        return False
+
+
+def _gone(pid: int) -> bool:
+    """Exited: no /proc entry, or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except OSError:
+        return True
+
+
+#: A "server" that forks one detached worker, prints its pid, then dies.
+ORPHAN_SCRIPT = """
+import functools, os, signal
+from concurrent.futures import ProcessPoolExecutor
+from repro.serve.scheduler import WorkerPool, detach_worker
+pool = WorkerPool(1, functools.partial(ProcessPoolExecutor, initializer=detach_worker))
+print(pool.submit(os.getpid).future.result(), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+class TestDetachWorker:
+    """Real forked workers: what a server's pool worker must not keep."""
+
+    def test_worker_drops_the_servers_signal_handler_and_sockets(self):
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        sock = socket.socket()
+        pool = WorkerPool(
+            1, functools.partial(ProcessPoolExecutor, initializer=detach_worker)
+        )
+        try:
+            run = pool.submit(_fd_is_socket, sock.fileno())
+            assert run.future.result(timeout=60) is False, "socket still open"
+            (worker,) = run.executor._processes.values()
+            pool.discard(run.executor)  # terminate, as after a hung task
+            worker.join(10)
+            assert not worker.is_alive(), "SIGTERM ignored by the worker"
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+            sock.close()
+            pool.shutdown()
+
+    def test_idle_worker_exits_when_its_server_is_killed(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        # Read one line, not to EOF: the worker holds a copy of the pipe.
+        with subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_SCRIPT], stdout=subprocess.PIPE,
+            text=True, env=env,
+        ) as proc:
+            worker = int(proc.stdout.readline())
+            assert proc.wait(60) == -signal.SIGKILL
+        deadline = time.monotonic() + 10.0
+        while not _gone(worker):
+            assert time.monotonic() < deadline, f"orphaned worker {worker} lives on"
+            time.sleep(0.1)

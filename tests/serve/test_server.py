@@ -284,6 +284,38 @@ class TestServeEndToEnd:
         assert info.value.status == 400
         assert "unknown app" in str(info.value.payload)
 
+    def test_jobs_share_one_warm_pool_and_drain_leaves_no_worker(
+        self, serve_factory
+    ):
+        """With --jobs 2 every job runs on one pool of two workers, a
+        lone app task included; the drain joins them."""
+        server = serve_factory(jobs=2, concurrency=2)
+        pool = server.server.lifecycle.pool
+        out = {}
+        threads = [
+            threading.Thread(
+                target=_submit_events,
+                args=(server, dict(APP_REQUEST, pages=pages), out, pages),
+            )
+            for pages in (1.0, 2.0)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+        assert all(out[p][-1]["ok"] is True for p in (1.0, 2.0)), out
+        executor = pool.current
+        assert executor is not None, "lone app tasks ran on the pool"
+        workers = list(executor._processes.values())
+        assert 1 <= len(workers) <= 2
+        _submit_events(server, dict(APP_REQUEST, pages=4.0), out, 4.0)
+        assert out[4.0][-1]["ok"] is True
+        assert pool.current is executor, "the pool is reused, not rebuilt"
+
+        server.stop()
+        assert pool.current is None
+        assert not any(w.is_alive() for w in workers)
+
     def test_introspection_endpoints(self, serve_factory):
         server = serve_factory()
         list(client.stream_submit(server.base_url, dict(APP_REQUEST), timeout=120))

@@ -18,7 +18,7 @@ def test_scenario_table_rows():
         "crash-resume@started",
         "crash-resume@progress",
         "crash-resume@result",
-        "shard-failover",
+        "hang-rebuild",
     ]
 
 
